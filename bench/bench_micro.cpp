@@ -351,9 +351,10 @@ BENCHMARK(BM_PatternMiss);
 // Whole-database scan throughput vs. signature count. The deployment
 // channels scan every sample against the full signature set, so this is
 // THE production hot path. BM_ScanManySignatures goes through the shared
-// Aho–Corasick prefilter (one streaming pass + VM confirmation of the few
+// literal prefilter (one first-stage pass + confirmation of the few
 // candidates); BM_ScanManySignaturesBruteForce is the per-pattern search
-// baseline (one memmem pass per signature). Signature shapes mirror the
+// baseline (one memmem pass per signature) and the speedup reference for
+// every scan row. Signature shapes mirror the
 // compiler's output: long escaped literal chunks, most of which are from
 // *other* samples than the one scanned — the common case in deployment.
 void add_database_signatures(match::Scanner& scanner, std::size_t count,
@@ -380,11 +381,9 @@ void add_database_signatures(match::Scanner& scanner, std::size_t count,
 
 // The literal first stage in isolation: one prefilter over a deployed-set
 // shaped literal database (40-byte chunks, streaming_signatures shape),
-// candidates_into over one normalized sample. BM_TeddyPrefilter is the
-// SIMD two-stage path (best available kernel), BM_TeddyPrefilterAutomaton
-// forces the byte-at-a-time Aho–Corasick walk over the same registrations
-// — the single-stream first-stage speedup is the ratio of the two.
-void teddy_prefilter_bench(benchmark::State& state, match::FirstStage stage) {
+// candidates_into over one normalized sample, through the SIMD two-stage
+// path (best available kernel).
+void BM_TeddyPrefilter(benchmark::State& state) {
   Rng rng(16);
   std::vector<std::string> donors;
   for (int d = 0; d < 8; ++d) {
@@ -398,7 +397,6 @@ void teddy_prefilter_bench(benchmark::State& state, match::FirstStage stage) {
                   std::to_string(i));
   }
   pf.build();
-  pf.set_first_stage(stage);
   const std::string text = text::normalize_raw(packed_nuclear_sample(1));
   std::vector<std::size_t> out;
   for (auto _ : state) {
@@ -409,23 +407,13 @@ void teddy_prefilter_bench(benchmark::State& state, match::FirstStage stage) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(text.size()));
 }
-
-void BM_TeddyPrefilter(benchmark::State& state) {
-  teddy_prefilter_bench(state, match::FirstStage::kAuto);
-}
 BENCHMARK(BM_TeddyPrefilter)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_TeddyPrefilterAutomaton(benchmark::State& state) {
-  teddy_prefilter_bench(state, match::FirstStage::kAutomaton);
-}
-BENCHMARK(BM_TeddyPrefilterAutomaton)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
-// 1–2-byte literals: the length classes the pre-Fat first stage refused
-// outright (its minimum literal length was 3, forcing the whole database
-// onto the automaton). Sharded plans route them through the shift-or
-// kernels; the Automaton variant is the old behaviour for the same set.
-void teddy_short_prefilter_bench(benchmark::State& state,
-                                 match::FirstStage stage) {
+// 1–2-byte literals, routed through the K=1/K=2 shift-or shards. At 512
+// literals the K=1 shard is past kDenseRouteHitsPerByte and walks the
+// dense-shard sub-automaton while the K=2 shard stays on the SIMD pass
+// (the hybrid route); at 64 every shard is SIMD.
+void BM_TeddyPrefilterShortLiterals(benchmark::State& state) {
   constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
   match::LiteralPrefilter pf;
   const auto count = static_cast<std::size_t>(state.range(0));
@@ -436,7 +424,6 @@ void teddy_short_prefilter_bench(benchmark::State& state,
     pf.add(i, lit);
   }
   pf.build();
-  pf.set_first_stage(stage);
   const std::string text = text::normalize_raw(packed_nuclear_sample(1));
   std::vector<std::size_t> out;
   for (auto _ : state) {
@@ -444,20 +431,12 @@ void teddy_short_prefilter_bench(benchmark::State& state,
     benchmark::DoNotOptimize(out);
   }
   state.counters["teddy"] = pf.teddy_active() ? 1 : 0;
+  state.counters["dense_shards"] = static_cast<double>(pf.dense_shard_count());
   state.counters["survivors"] = static_cast<double>(out.size());
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(text.size()));
 }
-
-void BM_TeddyPrefilterShortLiterals(benchmark::State& state) {
-  teddy_short_prefilter_bench(state, match::FirstStage::kAuto);
-}
 BENCHMARK(BM_TeddyPrefilterShortLiterals)->Arg(64)->Arg(512);
-
-void BM_TeddyPrefilterShortLiteralsAutomaton(benchmark::State& state) {
-  teddy_short_prefilter_bench(state, match::FirstStage::kAutomaton);
-}
-BENCHMARK(BM_TeddyPrefilterShortLiteralsAutomaton)->Arg(64)->Arg(512);
 
 void BM_ScanManySignatures(benchmark::State& state) {
   const std::string text = packed_nuclear_sample(1);
@@ -489,27 +468,20 @@ BENCHMARK(BM_ScanManySignaturesBruteForce)->Arg(10)->Arg(100)->Arg(1000);
 // Database, one warm Scratch recycled across iterations (zero heap
 // allocation per scan, asserted in tests/engine_test.cpp), event-driven
 // all-matches delivery. Directly comparable to BM_ScanManySignatures —
-// Scanner::scan routes through this plus a result-vector allocation. The
-// Automaton variant forces the prefilter's first stage onto the
-// byte-at-a-time walk (the pre-Teddy configuration); one shared body, so
-// the two rows differ ONLY in first-stage routing and their ratio is the
-// end-to-end single-stream win.
-void engine_scan_bench(benchmark::State& state, match::FirstStage stage) {
+// Scanner::scan routes through this plus a result-vector allocation — and
+// to BM_ScanManySignaturesBruteForce, the per-signature search whose ratio
+// to this row is the end-to-end single-stream speedup.
+void BM_EngineScanManySignatures(benchmark::State& state) {
   const std::string text = packed_nuclear_sample(1);
   match::Scanner scanner;
   add_database_signatures(scanner, static_cast<std::size_t>(state.range(0)),
                           text);
   std::vector<engine::Database::Entry> entries;
-  match::LiteralPrefilter pf;
   for (std::size_t i = 0; i < scanner.size(); ++i) {
     entries.push_back(
         engine::Database::Entry{scanner.name(i), "", scanner.pattern(i)});
-    pf.add(i, scanner.pattern(i).required_literal());
   }
-  pf.build();
-  pf.set_first_stage(stage);
-  const engine::Database db =
-      engine::Database::from_entries(std::move(entries), std::move(pf));
+  const engine::Database db = engine::Database::from_entries(std::move(entries));
   engine::Scratch scratch;
   std::size_t events = 0;
   for (auto _ : state) {
@@ -537,19 +509,7 @@ void engine_scan_bench(benchmark::State& state, match::FirstStage stage) {
                           static_cast<int64_t>(text.size()));
 }
 
-void BM_EngineScanManySignatures(benchmark::State& state) {
-  engine_scan_bench(state, match::FirstStage::kAuto);
-}
 BENCHMARK(BM_EngineScanManySignatures)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_EngineScanManySignaturesAutomaton(benchmark::State& state) {
-  engine_scan_bench(state, match::FirstStage::kAutomaton);
-}
-BENCHMARK(BM_EngineScanManySignaturesAutomaton)
-    ->Arg(10)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(10000);
 
 void BM_ScanBatchParallel(benchmark::State& state) {
   // Batch fan-out across the thread pool (the CdnFilter shape): 64 packed
@@ -571,8 +531,8 @@ BENCHMARK(BM_ScanBatchParallel)->Arg(1)->Arg(4)->Arg(0);
 // --------------------------- streaming scan ---------------------------
 
 // The deployment channels' chunked path (BrowserGate network arrival,
-// DesktopScanner block reads): the prefilter automaton streams over fixed
-// size chunks with carried state, then only candidates run the VM.
+// DesktopScanner block reads): the prefilter's streaming cursor runs over
+// fixed size chunks with carried state, then only candidates run the VM.
 // BM_StreamingScan/<chunk> vs BM_StreamingScanOneShot is the cost of the
 // chunked cursor relative to one contiguous candidates() pass over the
 // same 100-signature bundle.
@@ -628,8 +588,9 @@ void BM_StreamingScanOneShot(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingScanOneShot);
 
-// Deployment-process cold start: rebuild the bundle (pattern compile +
-// automaton construction) vs load the release-time `.kpf` artifact.
+// Deployment-process cold start: build the bundle from the signatures
+// (pattern compile + prefilter build) vs load the release-time `.kpf`
+// artifact (the same, plus verifying the artifact first).
 void BM_BundleColdStartBuild(benchmark::State& state) {
   const auto sigs = streaming_signatures(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -654,11 +615,11 @@ void BM_BundleColdStartLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_BundleColdStartLoad)->Arg(100)->Arg(1000);
 
-// Same cold start through the zero-copy path: the artifact is mapped and
-// the version-2 automaton tables are used in place instead of streamed
-// into owned vectors. The file is written once; each iteration pays
-// mmap + parse-and-validate + pattern compilation (shared with the
-// istream row above, so the delta between the two rows is the copy).
+// Same cold start over a mapped file: the artifact is verified in place
+// instead of being streamed into memory first. The file is written once;
+// each iteration pays mmap + verification + pattern compilation + the
+// prefilter build (shared with the istream row above, so the delta between
+// the two rows is the copy).
 void BM_BundleColdStartLoadMmap(benchmark::State& state) {
   const auto sigs = streaming_signatures(static_cast<std::size_t>(state.range(0)));
   const std::filesystem::path path =
@@ -717,9 +678,10 @@ void BM_DeployDeltaApply(benchmark::State& state) {
 }
 BENCHMARK(BM_DeployDeltaApply)->Arg(1000);
 
-// The automaton in isolation (full bundle cold start is dominated by
-// pattern compilation, which the artifact deliberately does not ship):
-// Aho–Corasick trie + BFS construction vs flat table load.
+// The prefilter in isolation (full bundle cold start is dominated by
+// pattern compilation): build() from the registrations vs load() of a
+// serialized blob, which verifies the shipped automaton tables and then
+// builds the same way.
 void BM_PrefilterBuild(benchmark::State& state) {
   const auto sigs = streaming_signatures(static_cast<std::size_t>(state.range(0)));
   std::vector<std::string> literals;

@@ -8,19 +8,19 @@
 #                       (BM_EngineScanManySignatures, warm Scratch), the
 #                       chunked deployment-channel scan
 #                       (BM_StreamingScan/<chunk> vs BM_StreamingScanOneShot)
-#                       and release-artifact load vs per-process automaton
-#                       rebuild (BM_BundleColdStartLoad vs
+#                       and release-artifact load vs building from the
+#                       signatures (BM_BundleColdStartLoad vs
 #                       BM_BundleColdStartBuild)
 #   BENCH_scan.json     single-stream scan throughput: the Teddy SIMD
-#                       literal first stage vs the forced Aho-Corasick walk
-#                       (BM_TeddyPrefilter vs BM_TeddyPrefilterAutomaton,
-#                       first stage in isolation) and the same comparison
-#                       end to end through the engine
-#                       (BM_EngineScanManySignatures vs
-#                       BM_EngineScanManySignaturesAutomaton), plus
+#                       literal first stage in isolation
+#                       (BM_TeddyPrefilter, BM_TeddyPrefilterShortLiterals)
+#                       and end to end through the engine
+#                       (BM_EngineScanManySignatures), plus
 #                       BM_ScanManySignatures for the whole-database
-#                       trajectory; also the release-motion rows gated by
-#                       --compare: zero-copy mmap cold start vs the istream
+#                       trajectory against the per-signature brute-force
+#                       reference (BM_ScanManySignaturesBruteForce); also
+#                       the release-motion rows gated by
+#                       --compare: mmap cold start vs the istream
 #                       copy-in load (BM_BundleColdStartLoadMmap vs
 #                       BM_BundleColdStartLoad) and KZDELTA incremental
 #                       apply vs full artifact reload at serving scale
@@ -39,7 +39,7 @@
 # The headline comparisons: BM_ClusterPairwise vs BM_ClusterPairwiseScalar
 # items_per_second (unordered pairs resolved per second),
 # BM_StreamingScan bytes_per_second against the one-shot pass, and
-# BM_TeddyPrefilter bytes_per_second against the automaton baseline.
+# BM_ScanManySignatures bytes_per_second against the brute-force baseline.
 #
 # --compare checks the scan series for regressions against a baseline JSON
 # (e.g. the checked-in BENCH_scan.json or BENCH_serve.json): per shared
@@ -48,11 +48,12 @@
 # candidate.json is omitted, the scan series is run fresh from <build-dir
 # or ./build> — and if bench_serve is built there, its quick-mode rows
 # (p99 latency as real_time) are merged into the candidate so a serve
-# baseline gates serving latency alongside scan throughput.
-# Exits 1 on any regression, 2 when the files share no rows.
+# baseline gates serving latency alongside scan throughput. Baseline rows
+# the candidate lacks (a retired or renamed benchmark) are listed, not
+# compared. Exits 1 on any regression, 2 when the files share no rows.
 set -euo pipefail
 
-SCAN_FILTER='BM_TeddyPrefilter|BM_ScanManySignatures/|BM_EngineScanManySignatures|BM_BundleColdStartLoad|BM_Deploy'
+SCAN_FILTER='BM_TeddyPrefilter|BM_ScanManySignatures/|BM_ScanManySignaturesBruteForce|BM_EngineScanManySignatures|BM_BundleColdStartLoad|BM_Deploy'
 
 if [[ "${1:-}" == "--compare" ]]; then
   BASELINE="${2:?usage: run_bench.sh --compare <baseline.json> [candidate.json] [tolerance]}"
@@ -120,6 +121,11 @@ for name in shared:
         flag = "  REGRESSION"
     print(f"{name:55s} {b:12.0f} {c:12.0f} {ratio:7.2f}{flag}")
 print(f"{len(shared)} rows compared, tolerance +{tol:.0%}")
+missing = sorted(set(base) - set(cand))
+if missing:
+    print(f"{len(missing)} baseline rows missing from the candidate (not compared):")
+    for name in missing:
+        print(f"  {name}")
 if bad:
     print("regressions: " + ", ".join(bad))
     sys.exit(1)

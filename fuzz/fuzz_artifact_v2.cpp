@@ -5,7 +5,7 @@
 // loader either returns a valid artifact or throws a kizzle::Error
 // subclass — never UB, never unbounded allocation, never another
 // exception type. For bundles this harness is also a differential
-// oracle: the istream copy-in loader and the zero-copy std::span loader
+// oracle: the istream copy-in loader and the in-place std::span loader
 // must agree on accept/reject and on the loaded signature count, or the
 // two deployment paths could serve different databases from one file.
 //

@@ -1,10 +1,10 @@
 // Fuzz target: match::LiteralPrefilter::load over arbitrary bytes.
 //
 // The serialized automaton is the single most structure-dense artifact in
-// the system (goto/fail/output tables that the scan loop later indexes
-// blind), so load() must reject every inconsistent table shape with a
-// kizzle::Error subclass before the automaton is allowed to walk
-// anything. Any other escape is a finding.
+// the system (goto/fail/output tables), so load() must reject every
+// inconsistent table shape with a kizzle::Error subclass before it
+// rebuilds the scan state from the registrations. Any other escape is a
+// finding.
 #include <cstddef>
 #include <cstdint>
 #include <sstream>

@@ -209,8 +209,9 @@ void analyze_shards(const match::LiteralPrefilter& pf, const Options& opts,
         << shards[s].literal_count() << " literals): expected ~" << d
         << " first-stage hits/byte (threshold "
         << opts.dense_shard_threshold << ")";
-    if (pf.teddy_dense()) {
-      msg << "; scans route to the automaton walk";
+    if (pf.dense_shard_flags()[s] != 0) {
+      msg << "; its literals walk the dense-shard sub-automaton instead of "
+             "the SIMD pass";
     } else {
       msg << "; the SIMD first stage is confirm-bound here";
     }
@@ -228,69 +229,31 @@ std::vector<SigRef> refs_of(std::span<const engine::Database::Entry> entries) {
 
 // ---------------- artifact verification (family 4) ----------------
 
-// Rebuilds the prefilter the artifact *should* contain from its embedded
-// signature source and compares it section by section against the shipped
-// one. One finding listing every divergent section (the test contract is
-// one finding per diagnostic class per artifact).
-void verify_artifact_tables(const std::vector<engine::Database::Entry>& entries,
-                            const match::LiteralPrefilter& shipped,
-                            Report& report) {
-  match::LiteralPrefilter rebuilt;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    rebuilt.add(i, entries[i].pattern.required_literal());
-  }
-  rebuilt.build();
-
-  std::vector<std::string> bad;
-  const auto regs_a = shipped.registrations();
-  const auto regs_b = rebuilt.registrations();
-  if (regs_a.size() != regs_b.size()) {
-    bad.push_back("registration count (" + std::to_string(regs_a.size()) +
-                  " shipped vs " + std::to_string(regs_b.size()) +
-                  " recompiled)");
-  } else {
-    for (std::size_t i = 0; i < regs_a.size(); ++i) {
-      if (regs_a[i].literal != regs_b[i].literal ||
-          regs_a[i].id != regs_b[i].id) {
-        bad.push_back("registration " + std::to_string(i) + " (shipped " +
-                      quote(regs_a[i].literal) + " for id " +
-                      std::to_string(regs_a[i].id) + ", recompiled " +
-                      quote(regs_b[i].literal) + " for id " +
-                      std::to_string(regs_b[i].id) + ")");
-        break;
-      }
-    }
-  }
-  // TableView sections are spans (possibly borrowed straight from a
-  // mapped artifact on the shipped side) — compare contents, not storage.
-  const auto ta = shipped.tables();
-  const auto tb = rebuilt.tables();
-  const auto differs = [](auto a, auto b) {
-    return !std::equal(a.begin(), a.end(), b.begin(), b.end());
-  };
-  if (ta.alpha_size != tb.alpha_size || *ta.alpha != *tb.alpha) {
-    bad.push_back("reduced alphabet");
-  }
-  if (differs(ta.next, tb.next)) bad.push_back("goto table");
-  if (differs(ta.out_link, tb.out_link)) bad.push_back("output links");
-  if (differs(ta.out_begin, tb.out_begin) || differs(ta.out_end, tb.out_end) ||
-      differs(ta.out_ids, tb.out_ids)) {
-    bad.push_back("output sets");
-  }
-  if (differs(ta.fallback, tb.fallback)) bad.push_back("fallback list");
-  if (ta.n_ids != tb.n_ids || ta.id_limit != tb.id_limit) {
-    bad.push_back("id space");
-  }
-  if (bad.empty()) return;
-
-  std::string sections = bad[0];
-  for (std::size_t i = 1; i < bad.size(); ++i) sections += "; " + bad[i];
+// Serializes `rebuilt` — the prefilter the artifact *should* contain — in
+// the artifact's own layout version and compares it byte for byte against
+// the shipped blob: the registrations, the id space and every automaton
+// table must all be what this binary's compiler produces. One finding per
+// artifact, naming the first divergent byte. Shipped bytes past the end
+// of the recompilation are not compared (the loader already verified
+// where the shipped blob ends).
+void verify_artifact_blob(const match::LiteralPrefilter& rebuilt,
+                          std::string_view shipped, std::uint32_t version,
+                          Report& report) {
+  std::ostringstream os;
+  rebuilt.serialize(os, version);
+  const std::string expect = std::move(os).str();
+  const std::string_view got = shipped.substr(0, expect.size());
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(expect.begin(), expect.end(), got.begin(), got.end())
+          .first -
+      expect.begin());
+  if (at == expect.size()) return;
   add_finding(report, Check::kArtifactMismatch, Severity::kError, kNoSig, "",
               "shipped prefilter disagrees with a recompilation of the "
-              "embedded signature source: " +
-                  sections +
-                  " — compiler-version skew or tampered tables (the bundle "
-                  "checksum cannot catch either)");
+              "embedded signature source (first divergent byte " +
+                  std::to_string(at) + " of " + std::to_string(expect.size()) +
+                  ") — compiler-version skew or tampered registrations or "
+                  "tables (the bundle checksum cannot catch either)");
 }
 
 }  // namespace
@@ -321,7 +284,16 @@ Report analyze_candidate(const engine::Database& db, std::string_view name,
 }
 
 Report analyze_artifact(std::istream& is, const Options& opts) {
-  core::BundleArtifact art = core::load_artifact(is, /*validate_patterns=*/false);
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  const std::string bytes = std::move(buf).str();
+  return analyze_artifact(std::as_bytes(std::span<const char>(bytes)), opts);
+}
+
+Report analyze_artifact(std::span<const std::byte> artifact,
+                        const Options& opts) {
+  core::BundleArtifact art =
+      core::load_artifact(artifact, /*validate_patterns=*/false);
   Report report;
   std::vector<engine::Database::Entry> entries;
   entries.reserve(art.signatures.size());
@@ -332,7 +304,7 @@ Report analyze_artifact(std::istream& is, const Options& opts) {
           sig.name, sig.family, match::Pattern::compile(sig.pattern)});
     } catch (const match::PatternError& e) {
       // The embedded source does not compile with this binary's compiler:
-      // the shipped tables cannot be its compilation.
+      // the shipped prefilter cannot be its compilation.
       add_finding(report, Check::kArtifactMismatch, Severity::kError, i,
                   sig.name,
                   std::string("embedded pattern does not compile: ") +
@@ -343,9 +315,19 @@ Report analyze_artifact(std::istream& is, const Options& opts) {
     analyze_signature(i, entries[i].name, entries[i].pattern, opts, report);
   }
   analyze_cross(refs_of(entries), 0, report);
-  analyze_shards(art.prefilter, opts, report);
+  // The prefilter a deployment scans with is this recompilation, not the
+  // shipped blob, so the shard densities are read from it.
+  match::LiteralPrefilter rebuilt;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    rebuilt.add(i, entries[i].pattern.required_literal());
+  }
+  rebuilt.build();
+  analyze_shards(rebuilt, opts, report);
   if (opts.verify_artifact && entries.size() == art.signatures.size()) {
-    verify_artifact_tables(entries, art.prefilter, report);
+    const std::string_view shipped(
+        reinterpret_cast<const char*>(artifact.data()), artifact.size());
+    verify_artifact_blob(rebuilt, shipped.substr(art.prefilter_offset),
+                         art.version, report);
   }
   return report;
 }

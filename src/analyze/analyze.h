@@ -5,8 +5,9 @@
 // loop: a bad signature ships to every worker before anyone reads it. This
 // module is the pre-deployment gate that reads it instead. It operates on
 // the *compiled* artifacts — match::detail::Program instruction graphs,
-// teddy::PlanSet shuffle masks, LiteralPrefilter tables — not on regex
-// source, so what it certifies is what the scan path actually executes.
+// teddy::PlanSet shuffle masks, serialized LiteralPrefilter blobs — not
+// on regex source, so what it certifies is what the scan path actually
+// executes.
 //
 // Four analysis families, one Report:
 //
@@ -39,12 +40,12 @@
 //
 //   Artifact verification (analyze_artifact) — diverse-double-compile in
 //     miniature (Wheeler): the `.kpf`'s embedded signature source is
-//     recompiled with this binary's compiler and the resulting prefilter
-//     is structurally compared — registrations, reduced alphabet, goto/
-//     output tables, fallback list — against the shipped tables. The
-//     bundle checksum only proves the bytes arrived intact; this proves
-//     they are the compilation of the source they claim to be, catching
-//     compiler-version skew and post-build tampering alike.
+//     recompiled with this binary's compiler, and serialize() of the
+//     resulting prefilter is compared byte for byte against the shipped
+//     blob — registrations, id space, reduced alphabet, goto/output
+//     tables. The bundle checksum only proves the bytes arrived intact;
+//     this proves they are the compilation of the source they claim to
+//     be, catching compiler-version skew and post-build tampering alike.
 //
 // Surfaces: `kizzle lint <artifact|sigdb>` (text or --json, nonzero exit
 // on error-severity findings, for CI gating) and the KizzlePipeline
@@ -55,6 +56,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,7 +79,7 @@ enum class Check : std::uint8_t {
   kShadowedSignature,    // an earlier pure-literal signature always wins
   kDuplicateSignature,   // identical pattern source issued twice
   kDeadSignature,        // requires bytes normalized text can never hold
-  kArtifactMismatch,     // shipped tables != recompiled embedded source
+  kArtifactMismatch,     // shipped prefilter != recompiled embedded source
   kDeltaLineage,         // delta fingerprints/indices disagree with base
 };
 
@@ -105,8 +107,8 @@ struct Options {
   // A required literal whose *best* window still has this expected
   // per-byte hit rate under the byte prior is reported as common.
   double common_window_threshold = 1e-3;
-  // Recompile an artifact's embedded source and structurally compare the
-  // prefilter tables (analyze_artifact only).
+  // Recompile an artifact's embedded source and compare the shipped
+  // prefilter blob against it byte for byte (analyze_artifact only).
   bool verify_artifact = true;
 };
 
@@ -135,10 +137,13 @@ Report analyze_candidate(const engine::Database& db, std::string_view name,
 
 // Lints a `.kpf` bundle: loads it, lints the embedded database, and — per
 // Options::verify_artifact — recompiles the embedded source and compares
-// the shipped prefilter tables section by section. Malformed bundles
+// the shipped prefilter blob byte for byte. Malformed bundles
 // throw the loader's kizzle::Error taxonomy (they are not findings: a
 // bundle that fails to parse never reaches deployment anyway).
 Report analyze_artifact(std::istream& is, const Options& opts = {});
+// Same over the artifact's bytes, for callers that already hold them.
+Report analyze_artifact(std::span<const std::byte> artifact,
+                        const Options& opts = {});
 
 // Lints a `KZDELTA` delta artifact against the live base it would be
 // applied to — the serve hot-swap gate for incremental deploys. Lineage

@@ -233,7 +233,7 @@ BrowserGate::ScriptStream::ScriptStream(BrowserGate* gate)
 void BrowserGate::ScriptStream::feed(std::string_view chunk) {
   raw_ += chunk;
   // Raw normalization is per-byte, so it streams chunk by chunk; the
-  // automaton state carries across the boundary inside the engine stream.
+  // prefilter state carries across the boundary inside the engine stream.
   stage_.clear();
   text::normalize_raw_append(chunk, stage_);
   stream_.feed(stage_);

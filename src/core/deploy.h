@@ -9,10 +9,10 @@
 // All three channels consume one compiled signature set through the
 // unified scan engine (engine/engine.h): SignatureBundle is a thin façade
 // over an immutable engine::Database (compiled patterns + the shared
-// Aho–Corasick prefilter, built once at signature-release time and shipped
-// as a `.kpf` artifact, core/sigdb.h), and every channel scans with
-// per-worker engine::Scratch instances drawn from a pool — the steady-state
-// scan path allocates nothing. Matching is event-driven: the engine
+// literal prefilter derived from them — compiled directly or from a
+// verified `.kpf` release artifact, core/sigdb.h), and every channel
+// scans with per-worker engine::Scratch instances drawn from a pool — the
+// steady-state scan path allocates nothing. Matching is event-driven: the engine
 // delivers MatchEvents and the channels stop at the first one, which is
 // also where the Verdict's signature index and match span come from. The
 // channels differ only in what they scan and in their latency budget:
@@ -22,7 +22,7 @@
 //                 a content-hash LRU — the common case must cost a hash
 //                 lookup, not a scan. Scripts that arrive from the network
 //                 in pieces go through begin_script()/feed()/finish(): the
-//                 engine stream carries the automaton state across chunk
+//                 engine stream carries the prefilter state across chunk
 //                 boundaries, so by end of transfer only candidate
 //                 confirmation is left.
 //   DesktopScanner  scans whole files written to disk (browser caches);
@@ -70,14 +70,15 @@ class SignatureBundle {
  public:
   explicit SignatureBundle(const std::vector<DeployedSignature>& signatures);
 
-  // Loads a `.kpf` bundle artifact (core/sigdb.h): the signature set plus
-  // the release-time prebuilt prefilter, skipping the per-process
-  // automaton rebuild. Throws std::runtime_error on malformed input.
+  // Loads a `.kpf` bundle artifact (core/sigdb.h): the artifact is
+  // verified, its shipped prefilter tables included, and its signature
+  // set compiled (engine::Database::from_artifact). Throws the
+  // kizzle::Error taxonomy on malformed input.
   explicit SignatureBundle(std::istream& artifact);
 
-  // Zero-copy variant over a mapped artifact: the engine database borrows
-  // its automaton tables from the mapping (engine::Database::from_artifact
-  // mapped overload) and keeps it alive for the bundle's lifetime.
+  // Same over a mapped artifact, verified in place without a copy
+  // (engine::Database::from_artifact mapped overload). The mapping is not
+  // retained.
   explicit SignatureBundle(
       std::shared_ptr<const support::MappedFile> artifact);
 

@@ -75,8 +75,8 @@ std::optional<std::size_t> KizzlePipeline::scan_as_of(
 }
 
 void KizzlePipeline::export_artifact(std::ostream& os) const {
-  // The automaton maintained across deployments is the release build (an
-  // empty database still carries a built-but-empty automaton).
+  // The prefilter maintained across deployments is the release build (an
+  // empty database still carries a built-but-empty prefilter).
   save_artifact(os, signatures_, &db_.prefilter());
 }
 

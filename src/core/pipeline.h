@@ -138,10 +138,9 @@ class KizzlePipeline {
   const engine::Database& database() const { return db_; }
 
   // Persists the deployed signature set together with its already-built
-  // literal prefilter as a `.kpf` bundle artifact (core/sigdb.h): the
-  // automaton is built once here, at signature-release time, and the
-  // deployment channels load it (SignatureBundle's istream constructor)
-  // instead of rebuilding per process.
+  // literal prefilter as a `.kpf` bundle artifact (core/sigdb.h), which
+  // the deployment channels verify and load (SignatureBundle's istream
+  // constructor).
   void export_artifact(std::ostream& os) const;
 
   // Persists the *increment* since `base_day` as a `KZDELTA` delta

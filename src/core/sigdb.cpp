@@ -129,7 +129,7 @@ constexpr std::uint32_t kArtifactEndianSentinel = 0x01020304u;
 constexpr std::size_t kBundleHeaderBytes = 24;
 // Section alignment of the prefilter v2 blob; the v2 bundle zero-pads the
 // embedded text database so the blob starts on this boundary relative to
-// the artifact start (and hence, for a mapped file, in memory).
+// the artifact start.
 constexpr std::size_t kBundleAlign = 64;
 
 template <typename T>
@@ -190,8 +190,8 @@ void save_artifact(std::ostream& os,
   os.write(db.data(), static_cast<std::streamsize>(db.size()));
   if (version == 2) {
     // Zero pad so the prefilter blob starts 64-byte aligned relative to
-    // the artifact start; load_artifact(span) relies on this to hand the
-    // blob's table sections out as views into a mapped file.
+    // the artifact start, keeping its table sections aligned in a mapped
+    // file.
     static constexpr char zeros[kBundleAlign] = {};
     os.write(zeros, static_cast<std::streamsize>(bundle_pad(db.size())));
   }
@@ -202,14 +202,17 @@ void save_artifact(std::ostream& os,
 namespace {
 
 BundleArtifact finish_artifact(std::vector<DeployedSignature> signatures,
-                               match::LiteralPrefilter prefilter) {
-  if (prefilter.id_count() != signatures.size()) {
+                               std::size_t prefilter_ids,
+                               std::uint32_t version,
+                               std::uint64_t prefilter_offset) {
+  if (prefilter_ids != signatures.size()) {
     throw ArtifactError(
         "load_artifact: prefilter id count disagrees with signature list");
   }
   BundleArtifact out;
   out.signatures = std::move(signatures);
-  out.prefilter = std::move(prefilter);
+  out.version = version;
+  out.prefilter_offset = static_cast<std::size_t>(prefilter_offset);
   return out;
 }
 
@@ -249,8 +252,10 @@ BundleArtifact load_artifact(std::istream& is, bool validate_patterns) {
   std::istringstream db_is(db);
   std::vector<DeployedSignature> signatures =
       load_signatures(db_is, validate_patterns);
+  const std::uint64_t blob_off =
+      kBundleHeaderBytes + db_len + (version == 2 ? bundle_pad(db_len) : 0);
   return finish_artifact(std::move(signatures),
-                         match::LiteralPrefilter::load(is));
+                         match::LiteralPrefilter::verify(is), version, blob_off);
 }
 
 BundleArtifact load_artifact(std::span<const std::byte> blob,
@@ -269,8 +274,8 @@ BundleArtifact load_artifact(std::span<const std::byte> blob,
   std::memcpy(&endian, blob.data() + 12, 4);
   std::memcpy(&db_len, blob.data() + 16, 8);
   if (version == 1) {
-    // Legacy layout has unaligned, field-granular table serialization; no
-    // zero-copy path exists for it. Replay through the stream loader.
+    // Legacy layout has unaligned, field-granular table serialization.
+    // Replay through the stream loader.
     std::istringstream is(
         std::string(reinterpret_cast<const char*>(blob.data()), blob.size()));
     return load_artifact(is, validate_patterns);
@@ -301,8 +306,9 @@ BundleArtifact load_artifact(std::span<const std::byte> blob,
       load_signatures(db_is, validate_patterns);
   return finish_artifact(
       std::move(signatures),
-      match::LiteralPrefilter::load(
-          blob.subspan(static_cast<std::size_t>(blob_off))));
+      match::LiteralPrefilter::verify(
+          blob.subspan(static_cast<std::size_t>(blob_off))),
+      version, blob_off);
 }
 
 // ---------------------------- delta artifact -----------------------------

@@ -17,24 +17,25 @@
 // (kizzle::checksum_update, one pass over the whole payload):
 //
 // *Bundle artifact* (`.kpf`, magic "KZBUNDLE", version 2): the signature
-// set plus the pre-built Aho–Corasick literal prefilter over it, produced
-// once at signature-release time (`kizzle pack`, or
-// KizzlePipeline::export_artifact) so deployment processes load the
-// frozen automaton instead of each rebuilding it. Layout:
+// set plus a serialized literal prefilter over it, produced once at
+// signature-release time (`kizzle pack`, or
+// KizzlePipeline::export_artifact). Layout:
 //
 //   "KZBUNDLE"(8) | u32 version=2 | u32 endian 0x01020304 |
 //   u64 db_len | db text bytes | zero pad to a 64-byte boundary
 //   (relative to the artifact start) | prefilter blob
-//   (LiteralPrefilter::serialize v2: aligned, length-prefixed table
-//   sections + its own single-pass checksum trailer)
+//   (LiteralPrefilter::serialize v2: registrations plus the full
+//   Aho–Corasick automaton as aligned, length-prefixed table sections,
+//   sealed by its own single-pass checksum trailer)
 //
-// The pad exists so that when the artifact is mapped from disk the
-// prefilter's table sections land on 64-byte boundaries and the loader
-// can point std::span views straight into the mapping (zero-copy) instead
-// of copying megabytes of automaton tables. load_artifact(span) is that
-// path; the istream overload still accepts version-1 artifacts
-// (unaligned, per-field checksum granularity) for bundles packed by older
-// releases.
+// The automaton tables are verified payload, not deploy state: every load
+// checksums and validates them under the loader caps (a bad blob refuses
+// the artifact before any pattern is compiled) and then drops them.
+// Deployments compile the embedded signatures
+// (engine::Database::from_artifact), and `kizzle lint` compares the blob
+// byte for byte with serialize() of that recompilation. The loaders
+// also accept version-1 artifacts (no pad, per-field checksum
+// granularity) packed by older releases.
 //
 // *Delta artifact* (`.kzd`, magic "KZDELTAF", version 1): an incremental
 // update from one deployed signature set to the next — the daily Kizzle
@@ -110,37 +111,35 @@ std::vector<DeployedSignature> load_signatures(std::istream& is,
 inline constexpr std::string_view kArtifactMagic = "KZBUNDLE";
 inline constexpr std::uint32_t kArtifactVersion = 2;
 
+// A loaded artifact is its signatures. The shipped prefilter blob was
+// verified (LiteralPrefilter::verify) and is not loaded: callers compile
+// the signatures. Its layout version and offset from the artifact start
+// let the analyzer compare that blob with a recompilation.
 struct BundleArtifact {
   std::vector<DeployedSignature> signatures;
-  match::LiteralPrefilter prefilter;  // built, ids == signature indices
+  std::uint32_t version = kArtifactVersion;
+  std::size_t prefilter_offset = 0;
 };
 
 // Writes signatures + prefilter as one deployable artifact. `prebuilt`
 // must register exactly one id per signature (its index); pass nullptr to
 // have the prefilter compiled and built here from the signature patterns.
-// `version` selects the on-disk layout: 2 (default, aligned/zero-copy) or
-// 1 (legacy, for compatibility testing against old loaders).
+// `version` selects the on-disk layout: 2 (default, aligned) or 1
+// (legacy, for compatibility testing against old loaders).
 void save_artifact(std::ostream& os,
                    const std::vector<DeployedSignature>& signatures,
                    const match::LiteralPrefilter* prebuilt = nullptr,
                    std::uint32_t version = kArtifactVersion);
 
-// Parses an artifact back; the returned prefilter is ready to scan without
-// a rebuild. Throws kizzle::ArtifactError on malformed/corrupt/mismatched
-// input (including a prefilter whose id count disagrees with the
-// signature list) and kizzle::ResourceError on implausible declared
-// sizes. `validate_patterns` as in load_signatures. Accepts version 1 and
-// version 2 artifacts.
+// Parses and verifies an artifact. Throws kizzle::ArtifactError on
+// malformed/corrupt/mismatched input (including a prefilter whose id
+// count disagrees with the signature list) and kizzle::ResourceError on
+// implausible declared sizes. `validate_patterns` as in load_signatures.
+// Accepts version 1 and version 2 artifacts.
 BundleArtifact load_artifact(std::istream& is, bool validate_patterns = true);
 
-// Zero-copy overload over a byte range, typically a support::MappedFile.
-// For a version-2 artifact whose mapping starts 64-byte aligned (mmap
-// returns page-aligned addresses, so any mapped file qualifies), the
-// returned prefilter's automaton tables are std::span views INTO `blob` —
-// the caller must keep the underlying bytes alive and unmodified for the
-// lifetime of the returned object (engine::Database does this by holding
-// the MappedFile in a shared_ptr). Version-1 artifacts and misaligned
-// ranges fall back to owned copies with identical semantics.
+// Same over a byte range, typically a support::MappedFile: verified in
+// place, and nothing in the result refers to `blob`.
 BundleArtifact load_artifact(std::span<const std::byte> blob,
                              bool validate_patterns = true);
 

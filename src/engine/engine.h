@@ -9,11 +9,12 @@
 // seam they now share:
 //
 //   engine::Database   immutable compiled form of a signature set: the
-//                      compiled patterns plus the shared Aho–Corasick
-//                      literal prefilter. Built once (from specs, deployed
-//                      signatures, precompiled entries, or a `.kpf`
-//                      release artifact) and then shared read-only by any
-//                      number of threads.
+//                      compiled patterns plus the shared literal
+//                      prefilter derived from them. Built once (from
+//                      specs, deployed signatures, precompiled entries, or
+//                      the signatures of a verified `.kpf` release
+//                      artifact) and then shared read-only by any number
+//                      of threads.
 //   engine::Scratch    per-thread/per-worker mutable working memory: the
 //                      candidate vector, the streaming cursor, the
 //                      accumulated normalized text, and the backtracking
@@ -29,7 +30,7 @@
 //                      experiments) are the same code path — they differ
 //                      only in what the callback returns.
 //   open_stream()      resumable scanning for text that arrives in chunks:
-//                      the prefilter automaton streams over each piece
+//                      the prefilter's streaming cursor runs over each piece
 //                      (state carried across boundaries), finish() confirms
 //                      only the candidates against the accumulated text.
 //
@@ -196,7 +197,7 @@ struct ScanStats {
 // ------------------------------ database ------------------------------
 
 // Immutable compiled signature database. Construction compiles (or
-// adopts) the patterns and builds (or adopts) the literal prefilter; after
+// adopts) the patterns and builds the literal prefilter over them; after
 // that every member is const and safe to share across threads.
 class Database {
  public:
@@ -225,23 +226,17 @@ class Database {
   static Database compile(const std::vector<core::DeployedSignature>& sigs);
   // Adopts precompiled entries and builds the prefilter over them.
   static Database from_entries(std::vector<Entry> entries);
-  // Adopts precompiled entries plus a release-time prebuilt automaton
-  // (skipping the per-process rebuild). Throws std::runtime_error if the
-  // automaton's id count disagrees with the entry list.
-  static Database from_entries(std::vector<Entry> entries,
-                               match::LiteralPrefilter prebuilt);
-  // Loads a `.kpf` bundle artifact (core/sigdb.h): signatures plus the
-  // release-built automaton. Throws std::runtime_error on malformed input.
-  // When `signatures_out` is non-null it receives the deployment metadata
-  // (issued day, token length) the database itself does not retain.
+  // Loads a `.kpf` bundle artifact (core/sigdb.h): verifies all of it,
+  // then compiles the embedded signatures exactly as compile() does —
+  // the shipped prefilter is checked, never trusted. Throws the
+  // kizzle::Error taxonomy on malformed input. When `signatures_out` is
+  // non-null it receives the deployment metadata (issued day, token
+  // length) the database itself does not retain.
   static Database from_artifact(
       std::istream& artifact,
       std::vector<core::DeployedSignature>* signatures_out = nullptr);
-  // Zero-copy variant over a mapped `.kpf` file: for a version-2 artifact
-  // the prefilter's automaton tables are views into the mapping, which the
-  // database keeps alive (shared_ptr) for its own lifetime — cold-start
-  // load cost becomes parse-and-validate instead of copy-everything, and
-  // concurrent loaders of the same artifact share page-cache pages.
+  // Same over a mapped `.kpf` file, verified in place; the mapping is not
+  // retained.
   static Database from_artifact(
       std::shared_ptr<const support::MappedFile> mapping,
       std::vector<core::DeployedSignature>* signatures_out = nullptr);
@@ -294,10 +289,6 @@ class Database {
   std::vector<unsigned char> retired_;
   std::size_t retired_count_ = 0;
   std::uint64_t fingerprint_ = 0;
-  // Keepalive for the zero-copy load path: when the prefilter's tables
-  // are views into a mapped artifact, the mapping must outlive them. Null
-  // for owning databases.
-  std::shared_ptr<const support::MappedFile> mapping_;
 };
 
 // ------------------------------- scratch -------------------------------
@@ -306,7 +297,7 @@ class Stream;
 
 // Per-thread (or per in-flight document) mutable scan state. Everything a
 // scan needs to allocate lives here and is recycled across calls: the
-// candidate list, the streaming automaton cursor, the accumulated
+// candidate list, the streaming prefilter cursor, the accumulated
 // normalized text, and the VM's backtracking buffers. A Scratch may be
 // used with any number of databases over its lifetime (buffers re-size on
 // first contact with a larger database, then stabilize). Not thread-safe:
@@ -410,8 +401,9 @@ std::optional<MatchEvent> first_match(const Database& db, std::string_view text,
 // finish() is a snapshot — feeding may continue afterwards.
 class Stream {
  public:
-  // Consumes the next chunk of (already normalized) scan text: streams the
-  // prefilter automaton over it and accumulates it for confirmation.
+  // Consumes the next chunk of (already normalized) scan text: runs the
+  // prefilter's streaming cursor over it and accumulates it for
+  // confirmation.
   void feed(std::string_view normalized_chunk);
 
   // Confirms the candidates seen so far against the accumulated text.

@@ -23,7 +23,7 @@
 //   per-pattern   search() memmem-locates this pattern's required_literal()
 //                 and only runs the VM around its occurrences; absent
 //                 literal → immediate no-match, no VM steps charged.
-//   per-database  match/prefilter.h builds one Aho–Corasick automaton over
+//   per-database  match/prefilter.h builds one multi-literal first stage over
 //                 the required_literal() of *every* deployed pattern. A
 //                 single streaming pass over the text yields the candidate
 //                 signature subset; only candidates run search(). Patterns

@@ -16,8 +16,9 @@ namespace kizzle::match {
 
 namespace {
 constexpr std::int32_t kNone = -1;
+constexpr std::uint16_t kNoCode = 0xFFFF;  // byte outside the reduced alphabet
 
-// Merges the sorted automaton hits in `out` with the sorted `fallback` ids
+// Merges the sorted literal hits in `out` with the sorted `fallback` ids
 // (the two sets are disjoint by construction). std::inplace_merge may heap-
 // allocate a temporary buffer, which would break the scan path's zero-
 // allocation guarantee; merging from the back into the resized vector
@@ -51,77 +52,6 @@ void LiteralPrefilter::add(std::size_t id, std::string_view literal) {
   ++n_ids_;
   id_limit_ = std::max(id_limit_, id + 1);
   built_ = false;
-}
-
-void LiteralPrefilter::finalize_derived() {
-  // The sorted/deduplicated fallback list and the distinct-automaton-id
-  // count are regenerated from the raw registrations on every build (and
-  // on load), never updated in place: rebuilds cannot accumulate stale or
-  // repeated entries no matter how add()/build() calls interleave.
-  fallback_ = fallback_raw_;
-  std::sort(fallback_.begin(), fallback_.end());
-  fallback_.erase(std::unique(fallback_.begin(), fallback_.end()),
-                  fallback_.end());
-  std::vector<std::size_t> ids;
-  ids.reserve(keywords_.size());
-  for (const Keyword& kw : keywords_) ids.push_back(kw.id);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  n_automaton_ids_ = ids.size();
-
-  // The Teddy first stage is derived state too: rebuilt from the raw
-  // registrations here (build() and load() both funnel through), never
-  // serialized — the `.kpf` layout is untouched. PlanSet::build shards by
-  // length class and compiles every non-empty literal set, so the only way
-  // scans take the automaton walk is the explicit override or an
-  // over-4-GiB text.
-  std::vector<teddy::PlanSet::Literal> lits;
-  lits.reserve(keywords_.size());
-  for (const Keyword& kw : keywords_) {
-    lits.push_back(teddy::PlanSet::Literal{kw.literal, kw.id});
-  }
-  teddy_ =
-      lits.empty() ? std::nullopt : teddy::PlanSet::build(std::move(lits));
-
-  // Dense-shard routing, decided PER SHARD: a shard whose build-time
-  // density estimate says its first stage would fire on more than a fifth
-  // of all scanned bytes is confirm-bound, so its literals leave the SIMD
-  // pass and walk a dedicated sub-automaton instead; the remaining
-  // (selective) shards keep the Teddy path. All-dense sets route to the
-  // full main automaton exactly as before — the sub-automaton would just
-  // duplicate it. All of it is derived state like the plan itself, so
-  // built and loaded prefilters route identically.
-  dense_shard_.clear();
-  n_dense_shards_ = 0;
-  dense_ = AcTables{};
-  teddy_dense_ = false;
-  if (!teddy_.has_value()) return;
-  dense_shard_.assign(teddy_->shard_count(), 0);
-  for (std::size_t i = 0; i < teddy_->shard_count(); ++i) {
-    if (teddy_->shards()[i].hit_density_estimate() > kDenseRouteHitsPerByte) {
-      dense_shard_[i] = 1;
-      ++n_dense_shards_;
-    }
-  }
-  teddy_dense_ = n_dense_shards_ == teddy_->shard_count();
-  if (n_dense_shards_ == 0 || teddy_dense_) return;
-  // Hybrid route: compile the dense shards' literals (in shard order —
-  // deterministic, like every derived table) into the sub-automaton.
-  std::vector<Keyword> dense_kws;
-  for (std::size_t i = 0; i < teddy_->shard_count(); ++i) {
-    if (dense_shard_[i] == 0) continue;
-    for (const teddy::Plan::Literal& lit : teddy_->shards()[i].literals()) {
-      dense_kws.push_back(Keyword{lit.text, lit.id});
-    }
-  }
-  dense_ = compile_automaton(dense_kws);
-}
-
-bool LiteralPrefilter::route_teddy(std::string_view text) const {
-  // Hit positions are 32-bit; anything larger (never seen in practice —
-  // scanned units are samples and bounded stream windows) walks the
-  // automaton instead.
-  return use_teddy() && text.size() <= 0xFFFFFFFFu;
 }
 
 LiteralPrefilter::AcTables LiteralPrefilter::compile_automaton(
@@ -246,16 +176,55 @@ std::size_t LiteralPrefilter::ac_walk(const AcTables& t, std::string_view text,
 }
 
 void LiteralPrefilter::build() {
-  AcTables t = compile_automaton(keywords_);
-  alpha_ = t.alpha;
-  alpha_size_ = t.alpha_size;
-  next_.reset(std::move(t.next));
-  out_link_.reset(std::move(t.out_link));
-  out_begin_.reset(std::move(t.out_begin));
-  out_end_.reset(std::move(t.out_end));
-  out_ids_.reset(std::move(t.out_ids));
+  // Everything below is regenerated from the raw registrations on every
+  // build (load() funnels through here too), never updated in place:
+  // rebuilds cannot accumulate stale or repeated entries no matter how
+  // add()/build() calls interleave.
+  fallback_ = fallback_raw_;
+  std::sort(fallback_.begin(), fallback_.end());
+  fallback_.erase(std::unique(fallback_.begin(), fallback_.end()),
+                  fallback_.end());
+  std::vector<std::size_t> ids;
+  ids.reserve(keywords_.size());
+  for (const Keyword& kw : keywords_) ids.push_back(kw.id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  n_literal_ids_ = ids.size();
 
-  finalize_derived();
+  // The first stage: PlanSet::build shards by length class and compiles
+  // every non-empty literal set.
+  std::vector<teddy::PlanSet::Literal> lits;
+  lits.reserve(keywords_.size());
+  for (const Keyword& kw : keywords_) {
+    lits.push_back(teddy::PlanSet::Literal{kw.literal, kw.id});
+  }
+  teddy_ =
+      lits.empty() ? std::nullopt : teddy::PlanSet::build(std::move(lits));
+
+  // Dense-shard routing, decided PER SHARD: a shard whose build-time
+  // density estimate says its first stage would fire on more than a fifth
+  // of all scanned bytes is confirm-bound, so its literals leave the SIMD
+  // pass and walk a sub-automaton compiled over exactly the dense shards'
+  // literals (in shard order — deterministic, like every derived table).
+  // The remaining (selective) shards keep the Teddy path; when every
+  // shard is dense, the sub-automaton covers the whole set.
+  dense_shard_.clear();
+  n_dense_shards_ = 0;
+  dense_ = AcTables{};
+  if (teddy_.has_value()) {
+    dense_shard_.assign(teddy_->shard_count(), 0);
+    std::vector<Keyword> dense_kws;
+    for (std::size_t i = 0; i < teddy_->shard_count(); ++i) {
+      const teddy::Plan& shard = teddy_->shards()[i];
+      if (shard.hit_density_estimate() <= kDenseRouteHitsPerByte) continue;
+      dense_shard_[i] = 1;
+      ++n_dense_shards_;
+      for (const teddy::Plan::Literal& lit : shard.literals()) {
+        dense_kws.push_back(Keyword{lit.text, lit.id});
+      }
+    }
+    if (n_dense_shards_ > 0) dense_ = compile_automaton(dense_kws);
+  }
   built_ = true;
 }
 
@@ -284,9 +253,23 @@ void LiteralPrefilter::candidates_into(std::string_view text,
   out.clear();
   if (stats != nullptr) *stats = PrefilterStats{};
   if (hints != nullptr) hints->assign(id_limit_, teddy::kNoHint);
-  if (n_automaton_ids_ == 0 || alpha_size_ == 0) {
+  if (!teddy_.has_value()) {
     out = fallback_;
     if (stats != nullptr) stats->fallback = PrefilterFallback::kNoLiterals;
+    return;
+  }
+  if (text.size() > 0xFFFFFFFFu) {
+    // Hit positions are 32-bit; a larger text (never seen in practice —
+    // scanned units are samples and bounded stream windows) goes through
+    // the streaming cursor, which scans it in 1 GiB windows.
+    StreamingMatcher sliced(*this);
+    sliced.feed(text);
+    sliced.finish_into(out);
+    if (stats != nullptr) {
+      stats->fallback = PrefilterFallback::kTextTooLarge;
+      stats->dense_shards = n_dense_shards_;
+      stats->literal_survivors = out.size() - fallback_.size();
+    }
     return;
   }
 
@@ -296,108 +279,26 @@ void LiteralPrefilter::candidates_into(std::string_view text,
   thread_local std::vector<std::uint8_t> seen;
   seen.assign(id_limit_, 0);
 
-  if (route_teddy(text)) {
-    teddy::ScanCounters counters;
-    const bool hybrid = n_dense_shards_ > 0;  // some (not all) shards dense
-    std::size_t n_seen =
-        teddy_->find(text, hits, seen, out, 0, n_automaton_ids_, &counters,
-                     hints, hybrid ? &dense_shard_ : nullptr);
-    if (hybrid) {
-      // Dense shards skipped above: their literals walk the sub-automaton.
-      // Ids found here leave their hints at kNoHint — the confirm tier
-      // falls back to a full-text anchor search, same as the automaton
-      // route always has.
-      std::int32_t state = 0;
-      n_seen = ac_walk(dense_, text, state, seen, out, n_seen,
-                       n_automaton_ids_);
-    }
-    if (stats != nullptr) {
-      stats->first_stage_hits = counters.first_stage_hits;
-      stats->shards_scanned = counters.shards_scanned;
-      stats->dense_shards = n_dense_shards_;
-      stats->literal_survivors = out.size();
-    }
-    std::sort(out.begin(), out.end());
-    merge_fallback(out, fallback_);
-    return;
+  teddy::ScanCounters counters;
+  const bool hybrid = n_dense_shards_ > 0;
+  const std::size_t n_seen =
+      teddy_->find(text, hits, seen, out, 0, n_literal_ids_, &counters, hints,
+                   hybrid ? &dense_shard_ : nullptr);
+  if (hybrid) {
+    // Dense shards skipped above: their literals walk the sub-automaton.
+    // Ids found here leave their hints at kNoHint — the confirm tier falls
+    // back to a full-text anchor search for them.
+    std::int32_t state = 0;
+    ac_walk(dense_, text, state, seen, out, n_seen, n_literal_ids_);
   }
   if (stats != nullptr) {
-    stats->fallback = first_stage_ == FirstStage::kAutomaton
-                          ? PrefilterFallback::kForcedAutomaton
-                      : teddy_dense_ ? PrefilterFallback::kDenseLiterals
-                                     : PrefilterFallback::kTextTooLarge;
+    stats->first_stage_hits = counters.first_stage_hits;
+    stats->shards_scanned = counters.shards_scanned;
+    stats->dense_shards = n_dense_shards_;
+    stats->literal_survivors = out.size();
   }
-
-  // Hoist the table base pointers once: the tables may be owned or
-  // borrowed (TableRef), and resolving that per byte would put a branch
-  // in the innermost loop.
-  const std::int32_t* const next = next_.data();
-  const std::int32_t* const out_link = out_link_.data();
-  const std::int32_t* const out_begin = out_begin_.data();
-  const std::int32_t* const out_end = out_end_.data();
-  const std::size_t* const out_ids = out_ids_.data();
-  std::size_t n_seen = 0;
-  std::int32_t state = 0;
-  for (const char ch : text) {
-    const std::uint16_t code = alpha_[static_cast<unsigned char>(ch)];
-    if (code == kNoCode) {
-      state = 0;
-      continue;
-    }
-    state = next[static_cast<std::size_t>(state) * alpha_size_ + code];
-    for (std::int32_t s = state; s != kNone;
-         s = out_link[static_cast<std::size_t>(s)]) {
-      if (out_begin[static_cast<std::size_t>(s)] ==
-          out_end[static_cast<std::size_t>(s)]) {
-        continue;  // root (or a pure-prefix state reached directly)
-      }
-      for (std::int32_t i = out_begin[static_cast<std::size_t>(s)];
-           i < out_end[static_cast<std::size_t>(s)]; ++i) {
-        const std::size_t id = out_ids[static_cast<std::size_t>(i)];
-        if (!seen[id]) {
-          seen[id] = 1;
-          out.push_back(id);
-          ++n_seen;
-        }
-      }
-    }
-    if (n_seen == n_automaton_ids_) break;  // every filtered id found
-  }
-
-  if (stats != nullptr) stats->literal_survivors = out.size();
   std::sort(out.begin(), out.end());
-  // Merge in the (sorted, deduped) fallback ids.
   merge_fallback(out, fallback_);
-}
-
-// ----------------------------- introspection -----------------------------
-
-LiteralPrefilter::TableView LiteralPrefilter::tables() const {
-  TableView v;
-  v.alpha = &alpha_;
-  v.alpha_size = alpha_size_;
-  v.next = next_.view();
-  v.out_link = out_link_.view();
-  v.out_begin = out_begin_.view();
-  v.out_end = out_end_.view();
-  v.out_ids = out_ids_.view();
-  v.fallback = std::span<const std::size_t>(fallback_);
-  v.n_ids = n_ids_;
-  v.id_limit = id_limit_;
-  return v;
-}
-
-std::vector<LiteralPrefilter::Registration> LiteralPrefilter::registrations()
-    const {
-  std::vector<Registration> regs;
-  regs.reserve(keywords_.size() + fallback_raw_.size());
-  for (const Keyword& kw : keywords_) {
-    regs.push_back(Registration{kw.literal, kw.id});
-  }
-  for (const std::size_t id : fallback_raw_) {
-    regs.push_back(Registration{std::string_view(), id});
-  }
-  return regs;
 }
 
 // ----------------------------- persistence -----------------------------
@@ -412,8 +313,8 @@ constexpr std::uint64_t kCkBasis = kizzle::kChecksumBasis;
 // trailing checksum gets a chance to catch it. 16M elements is orders of
 // magnitude above any realistic signature database's automaton.
 constexpr std::uint64_t kMaxTableElems = 1ull << 24;
-// v2: section alignment (so borrowed spans are naturally aligned and
-// cache-line clean) and the payload allocation cap for the istream path.
+// v2: section alignment (the layout keeps every table section 64-byte
+// aligned relative to the blob start) and the payload allocation cap.
 constexpr std::size_t kSectionAlign = 64;
 constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;
 // v2 fixed header: magic(4) version(4) endian(4) pad(4) payload_size(8)
@@ -454,8 +355,8 @@ class CheckedWriter {
 };
 
 // v2 payloads are built in memory and checksummed in ONE pass (the tail
-// fold in checksum_update makes call granularity part of the sum, and a
-// zero-copy reader verifies the mapped payload in one call).
+// fold in checksum_update makes call granularity part of the sum, and the
+// span loader verifies a mapped payload in one call).
 class PayloadBuilder {
  public:
   void bytes(const void* p, std::size_t n) {
@@ -476,8 +377,7 @@ class PayloadBuilder {
 };
 
 // Bounds-checked cursor over a v2 payload. Every read is memcpy-based, so
-// the source needs no alignment; only borrowed table sections require the
-// 64-byte base alignment the format guarantees.
+// the source needs no alignment.
 class BlobCursor {
  public:
   explicit BlobCursor(std::span<const std::byte> blob) : blob_(blob) {}
@@ -562,6 +462,78 @@ class CheckedReader {
   std::uint64_t sum_ = kCkBasis;
 };
 
+// One shipped table section: `count` elements of T at `data`. Reads go
+// through memcpy, so the source needs no alignment and nothing is copied
+// out of it.
+template <typename T>
+struct RawTable {
+  const std::byte* data = nullptr;
+  std::size_t count = 0;
+
+  T operator[](std::size_t i) const {
+    T v;
+    std::memcpy(&v, data + i * sizeof(T), sizeof v);
+    return v;
+  }
+};
+
+template <typename T>
+RawTable<T> raw_table(const std::vector<T>& v) {
+  return {reinterpret_cast<const std::byte*>(v.data()), v.size()};
+}
+
+// The automaton tables of a serialized prefilter, as shipped.
+struct ShippedTables {
+  std::array<std::uint16_t, 256> alpha{};
+  std::size_t alpha_size = 0;
+  RawTable<std::int32_t> next;       // n_states × alpha_size
+  RawTable<std::int32_t> out_link;   // nearest suffix state with output
+  RawTable<std::int32_t> out_begin;  // per-state slice into out_ids
+  RawTable<std::int32_t> out_end;
+  RawTable<std::size_t> out_ids;
+};
+
+// Structural sanity of the shipped tables: shapes agree, every alphabet
+// code, goto target, output link and output slice stays in range, and
+// every output id is inside the id space. Returns whether the tables are
+// walkable at all (a root state over a non-empty alphabet).
+bool validate_tables(const ShippedTables& t, std::size_t id_limit) {
+  const std::size_t total = t.out_link.count;
+  if (t.alpha_size > 256 || t.out_begin.count != total ||
+      t.out_end.count != total || t.next.count != total * t.alpha_size) {
+    throw ArtifactError("LiteralPrefilter: inconsistent table shapes");
+  }
+  for (const std::uint16_t code : t.alpha) {
+    if (code != kNoCode && code >= t.alpha_size) {
+      throw ArtifactError("LiteralPrefilter: alphabet code out of range");
+    }
+  }
+  for (std::size_t i = 0; i < t.next.count; ++i) {
+    const std::int32_t s = t.next[i];
+    if (s < 0 || static_cast<std::size_t>(s) >= std::max<std::size_t>(total, 1)) {
+      throw ArtifactError("LiteralPrefilter: goto target out of range");
+    }
+  }
+  for (std::size_t s = 0; s < total; ++s) {
+    const std::int32_t link = t.out_link[s];
+    if (link != kNone &&
+        (link < 0 || static_cast<std::size_t>(link) >= total)) {
+      throw ArtifactError("LiteralPrefilter: output link out of range");
+    }
+    const std::int32_t b = t.out_begin[s];
+    const std::int32_t e = t.out_end[s];
+    if (b < 0 || e < b || static_cast<std::size_t>(e) > t.out_ids.count) {
+      throw ArtifactError("LiteralPrefilter: output slice out of range");
+    }
+  }
+  for (std::size_t i = 0; i < t.out_ids.count; ++i) {
+    if (t.out_ids[i] >= id_limit) {
+      throw ArtifactError("LiteralPrefilter: output id out of range");
+    }
+  }
+  return total > 0 && t.alpha_size > 0;
+}
+
 }  // namespace
 
 void LiteralPrefilter::serialize(std::ostream& os,
@@ -569,6 +541,12 @@ void LiteralPrefilter::serialize(std::ostream& os,
   if (!built_) {
     throw std::logic_error("LiteralPrefilter: serialize before build()");
   }
+  if (version != 1 && version != 2) {
+    throw std::logic_error("LiteralPrefilter: unknown serialize version");
+  }
+  // The full automaton exists only as payload: compiled here from the
+  // registrations, written, and dropped.
+  const AcTables t = compile_automaton(keywords_);
   if (version == 1) {
     // Legacy layout: stream-framed fields, call-granular checksum.
     CheckedWriter w(os);
@@ -577,15 +555,15 @@ void LiteralPrefilter::serialize(std::ostream& os,
     w.num<std::uint32_t>(kEndianSentinel);
     w.num<std::uint64_t>(n_ids_);
     w.num<std::uint64_t>(id_limit_);
-    w.num<std::uint64_t>(alpha_size_);
-    w.bytes(alpha_.data(), alpha_.size() * sizeof(std::uint16_t));
-    w.i32s(next_.view());
-    w.i32s(out_link_.view());
-    w.i32s(out_begin_.view());
-    w.i32s(out_end_.view());
-    w.u64s(out_ids_.view());
+    w.num<std::uint64_t>(t.alpha_size);
+    w.bytes(t.alpha.data(), t.alpha.size() * sizeof(std::uint16_t));
+    w.i32s(t.next);
+    w.i32s(t.out_link);
+    w.i32s(t.out_begin);
+    w.i32s(t.out_end);
+    w.u64s(t.out_ids);
     w.u64s(fallback_raw_);
-    // Raw keyword registrations ride along so a loaded automaton supports
+    // Raw keyword registrations ride along so a loaded prefilter supports
     // further add()+build() exactly like the original.
     w.num<std::uint64_t>(keywords_.size());
     for (const Keyword& kw : keywords_) {
@@ -596,15 +574,24 @@ void LiteralPrefilter::serialize(std::ostream& os,
     w.finish();
     return;
   }
-  if (version != 2) {
-    throw std::logic_error("LiteralPrefilter: unknown serialize version");
-  }
 
   // v2: header + registrations + a section directory, then the five table
-  // sections at 64-byte-aligned offsets (relative to the blob start — a
-  // mapping of the blob at an aligned base keeps them aligned in memory),
+  // sections at 64-byte-aligned offsets (relative to the blob start),
   // each length-prefixed through the directory. The whole payload is
   // checksummed in one pass and the trailer follows it.
+  struct Section {
+    const void* data;
+    std::size_t count;
+    std::size_t elem_size;
+  };
+  const Section sections[] = {
+      {t.next.data(), t.next.size(), sizeof(std::int32_t)},
+      {t.out_link.data(), t.out_link.size(), sizeof(std::int32_t)},
+      {t.out_begin.data(), t.out_begin.size(), sizeof(std::int32_t)},
+      {t.out_end.data(), t.out_end.size(), sizeof(std::int32_t)},
+      {t.out_ids.data(), t.out_ids.size(), sizeof(std::uint64_t)},
+  };
+  constexpr std::size_t kNSections = std::size(sections);
   PayloadBuilder p;
   p.bytes(kMagic, sizeof kMagic);
   p.num<std::uint32_t>(2);
@@ -613,8 +600,8 @@ void LiteralPrefilter::serialize(std::ostream& os,
   p.num<std::uint64_t>(0);                 // payload_size backpatched below
   p.num<std::uint64_t>(n_ids_);
   p.num<std::uint64_t>(id_limit_);
-  p.num<std::uint64_t>(alpha_size_);
-  p.bytes(alpha_.data(), alpha_.size() * sizeof(std::uint16_t));
+  p.num<std::uint64_t>(t.alpha_size);
+  p.bytes(t.alpha.data(), t.alpha.size() * sizeof(std::uint16_t));
   p.num<std::uint64_t>(fallback_raw_.size());
   for (const std::size_t id : fallback_raw_) p.num<std::uint64_t>(id);
   p.num<std::uint64_t>(keywords_.size());
@@ -625,19 +612,6 @@ void LiteralPrefilter::serialize(std::ostream& os,
   }
 
   // Section directory: elem count + blob-relative byte offset per table.
-  struct Section {
-    const void* data;
-    std::size_t count;
-    std::size_t elem_size;
-  };
-  const Section sections[] = {
-      {next_.data(), next_.size(), sizeof(std::int32_t)},
-      {out_link_.data(), out_link_.size(), sizeof(std::int32_t)},
-      {out_begin_.data(), out_begin_.size(), sizeof(std::int32_t)},
-      {out_end_.data(), out_end_.size(), sizeof(std::int32_t)},
-      {out_ids_.data(), out_ids_.size(), sizeof(std::uint64_t)},
-  };
-  constexpr std::size_t kNSections = std::size(sections);
   p.num<std::uint64_t>(kNSections);
   const std::size_t dir_end = p.size() + kNSections * 16;
   std::size_t off = (dir_end + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
@@ -658,7 +632,7 @@ void LiteralPrefilter::serialize(std::ostream& os,
   std::memcpy(payload.data() + kV2SizeOffset, &payload_size,
               sizeof payload_size);
   static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-                "v2 zero-copy layout assumes 64-bit size_t");
+                "v2 layout assumes 64-bit size_t");
   std::uint64_t sum = kCkBasis;
   checksum_update(sum, payload.data(), payload.size());
   os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
@@ -666,9 +640,7 @@ void LiteralPrefilter::serialize(std::ostream& os,
   if (!os) throw std::runtime_error("LiteralPrefilter: serialize failed");
 }
 
-LiteralPrefilter LiteralPrefilter::parse_v2(std::span<const std::byte> blob,
-                                            bool borrow,
-                                            std::size_t* consumed) {
+LiteralPrefilter LiteralPrefilter::parse_v2(std::span<const std::byte> blob) {
   BlobCursor header(blob);
   char magic[4];
   header.bytes(magic, sizeof magic);
@@ -704,13 +676,11 @@ LiteralPrefilter LiteralPrefilter::parse_v2(std::span<const std::byte> blob,
   if (stored != sum) {
     throw ArtifactError("LiteralPrefilter: checksum mismatch");
   }
-  if (consumed != nullptr) {
-    *consumed = static_cast<std::size_t>(payload_size) + 8;
-  }
   const std::span<const std::byte> payload =
       blob.first(static_cast<std::size_t>(payload_size));
 
   LiteralPrefilter pf;
+  ShippedTables t;
   BlobCursor c(payload);
   c.bytes(magic, sizeof magic);  // re-walk the verified header
   c.num<std::uint32_t>();
@@ -719,13 +689,13 @@ LiteralPrefilter LiteralPrefilter::parse_v2(std::span<const std::byte> blob,
   c.num<std::uint64_t>();
   pf.n_ids_ = static_cast<std::size_t>(c.num<std::uint64_t>());
   pf.id_limit_ = static_cast<std::size_t>(c.num<std::uint64_t>());
-  pf.alpha_size_ = static_cast<std::size_t>(c.num<std::uint64_t>());
+  t.alpha_size = static_cast<std::size_t>(c.num<std::uint64_t>());
   // id_limit_ sizes the per-scan dedup bitmap; an implausible value must
   // fail here, not OOM the first candidates() call.
   if (pf.n_ids_ > kMaxTableElems || pf.id_limit_ > kMaxTableElems) {
     throw ResourceError("LiteralPrefilter: implausible id count");
   }
-  c.bytes(pf.alpha_.data(), pf.alpha_.size() * sizeof(std::uint16_t));
+  c.bytes(t.alpha.data(), t.alpha.size() * sizeof(std::uint16_t));
   pf.fallback_raw_.resize(static_cast<std::size_t>(c.count()));
   for (std::size_t& id : pf.fallback_raw_) {
     id = static_cast<std::size_t>(c.num<std::uint64_t>());
@@ -750,74 +720,26 @@ LiteralPrefilter LiteralPrefilter::parse_v2(std::span<const std::byte> blob,
     d.count = static_cast<std::size_t>(c.count());
     d.offset = static_cast<std::size_t>(c.num<std::uint64_t>());
   }
-  // A misaligned blob base cannot serve aligned views; fall back to owned
-  // copies with identical semantics.
-  const bool aligned =
-      reinterpret_cast<std::uintptr_t>(blob.data()) % kSectionAlign == 0;
-  const bool take_views = borrow && aligned;
-  const auto section = [&](const Dir& d, std::size_t elem_size,
-                           auto& table) {
+  const auto section = [&](const Dir& d, auto& table) {
     using T = std::remove_cvref_t<decltype(table[0])>;
-    const std::size_t bytes = d.count * elem_size;
+    const std::size_t bytes = d.count * sizeof(T);
     if (d.offset % kSectionAlign != 0 || d.offset < c.pos() ||
         d.offset > payload.size() || bytes > payload.size() - d.offset) {
       throw ArtifactError("LiteralPrefilter: section out of bounds");
     }
-    if (take_views) {
-      table.reset_view(reinterpret_cast<const T*>(payload.data() + d.offset),
-                       d.count);
-    } else {
-      std::vector<T> own(d.count);
-      if (bytes > 0) std::memcpy(own.data(), payload.data() + d.offset, bytes);
-      table.reset(std::move(own));
-    }
+    table = {payload.data() + d.offset, d.count};
   };
-  section(dir[0], sizeof(std::int32_t), pf.next_);
-  section(dir[1], sizeof(std::int32_t), pf.out_link_);
-  section(dir[2], sizeof(std::int32_t), pf.out_begin_);
-  section(dir[3], sizeof(std::int32_t), pf.out_end_);
-  section(dir[4], sizeof(std::uint64_t), pf.out_ids_);
+  section(dir[0], t.next);
+  section(dir[1], t.out_link);
+  section(dir[2], t.out_begin);
+  section(dir[3], t.out_end);
+  section(dir[4], t.out_ids);
 
-  pf.validate_loaded();
+  pf.check_registrations(validate_tables(t, pf.id_limit_));
   return pf;
 }
 
-void LiteralPrefilter::validate_loaded() {
-  // Structural sanity: table shapes must agree before the automaton is
-  // allowed to walk anything. Identical for owned and borrowed tables.
-  const std::size_t total = out_link_.size();
-  if (alpha_size_ > 256 ||
-      out_begin_.size() != total || out_end_.size() != total ||
-      next_.size() != total * alpha_size_) {
-    throw ArtifactError("LiteralPrefilter: inconsistent table shapes");
-  }
-  for (std::size_t b = 0; b < alpha_.size(); ++b) {
-    if (alpha_[b] != kNoCode && alpha_[b] >= alpha_size_) {
-      throw ArtifactError("LiteralPrefilter: alphabet code out of range");
-    }
-  }
-  for (const std::int32_t s : next_) {
-    if (s < 0 || static_cast<std::size_t>(s) >= std::max<std::size_t>(total, 1)) {
-      throw ArtifactError("LiteralPrefilter: goto target out of range");
-    }
-  }
-  for (std::size_t s = 0; s < total; ++s) {
-    const std::int32_t link = out_link_[s];
-    if (link != kNone &&
-        (link < 0 || static_cast<std::size_t>(link) >= total)) {
-      throw ArtifactError("LiteralPrefilter: output link out of range");
-    }
-    const std::int32_t b = out_begin_[s];
-    const std::int32_t e = out_end_[s];
-    if (b < 0 || e < b || static_cast<std::size_t>(e) > out_ids_.size()) {
-      throw ArtifactError("LiteralPrefilter: output slice out of range");
-    }
-  }
-  for (const std::size_t id : out_ids_) {
-    if (id >= id_limit_) {
-      throw ArtifactError("LiteralPrefilter: output id out of range");
-    }
-  }
+void LiteralPrefilter::check_registrations(bool tables_walkable) const {
   // The raw registrations must be consistent with the header and stay
   // inside the id space — otherwise a later candidates() (or a
   // rebuild-after-load) indexes the dedup bitmap out of bounds.
@@ -835,42 +757,53 @@ void LiteralPrefilter::validate_loaded() {
       throw ArtifactError("LiteralPrefilter: bad keyword registration");
     }
   }
-
-  finalize_derived();
-  // Registered literals imply a walkable automaton (root state + reduced
-  // alphabet); without this, the scan loop would index empty tables.
-  if (n_automaton_ids_ > 0 && (total == 0 || alpha_size_ == 0)) {
+  // Registered literals imply a walkable shipped automaton (root state +
+  // reduced alphabet).
+  if (!keywords_.empty() && !tables_walkable) {
     throw ArtifactError(
         "LiteralPrefilter: automaton tables missing for registered literals");
   }
-  built_ = true;
 }
 
-LiteralPrefilter LiteralPrefilter::load(std::span<const std::byte> blob,
-                                        std::size_t* consumed) {
-  // Sniff the version: v2 blobs are parsed in place (borrowed when the
-  // base is aligned), v1 blobs route through the owning istream reader.
-  if (blob.size() >= 8) {
-    std::uint32_t version;
-    std::memcpy(&version, blob.data() + 4, sizeof version);
-    if (std::memcmp(blob.data(), kMagic, 4) == 0 && version == 2) {
-      return parse_v2(blob, /*borrow=*/true, consumed);
-    }
-  }
-  std::istringstream is(
-      std::string(reinterpret_cast<const char*>(blob.data()), blob.size()));
-  LiteralPrefilter pf = load(is);
-  if (consumed != nullptr) {
-    const auto pos = is.tellg();
-    *consumed = pos < 0 ? blob.size() : static_cast<std::size_t>(pos);
-  }
+LiteralPrefilter LiteralPrefilter::load(std::span<const std::byte> blob) {
+  LiteralPrefilter pf = parse(blob);
+  pf.build();
   return pf;
 }
 
 LiteralPrefilter LiteralPrefilter::load(std::istream& is) {
+  LiteralPrefilter pf = parse(is);
+  pf.build();
+  return pf;
+}
+
+std::size_t LiteralPrefilter::verify(std::span<const std::byte> blob) {
+  return parse(blob).n_ids_;
+}
+
+std::size_t LiteralPrefilter::verify(std::istream& is) {
+  return parse(is).n_ids_;
+}
+
+LiteralPrefilter LiteralPrefilter::parse(std::span<const std::byte> blob) {
+  // Sniff the version: v2 blobs are verified in place, v1 blobs route
+  // through the istream reader.
+  if (blob.size() >= 8) {
+    std::uint32_t version;
+    std::memcpy(&version, blob.data() + 4, sizeof version);
+    if (std::memcmp(blob.data(), kMagic, 4) == 0 && version == 2) {
+      return parse_v2(blob);
+    }
+  }
+  std::istringstream is(
+      std::string(reinterpret_cast<const char*>(blob.data()), blob.size()));
+  return parse(is);
+}
+
+LiteralPrefilter LiteralPrefilter::parse(std::istream& is) {
   // Sniff magic + version outside the checksum framing, then dispatch:
   // v1 re-seeds the legacy call-granular checksum with the bytes already
-  // read; v2 slurps the length-prefixed payload and parses it owned.
+  // read; v2 slurps the length-prefixed payload and parses it.
   char magic[4];
   std::uint32_t version;
   is.read(magic, sizeof magic);
@@ -909,10 +842,7 @@ LiteralPrefilter LiteralPrefilter::load(std::istream& is) {
     std::memcpy(blob.data() + kV2SizeOffset, &payload_size, 8);
     is.read(blob.data() + 24, static_cast<std::streamsize>(blob.size() - 24));
     if (!is) throw ArtifactError("LiteralPrefilter: truncated artifact");
-    return parse_v2(
-        std::span<const std::byte>(
-            reinterpret_cast<const std::byte*>(blob.data()), blob.size()),
-        /*borrow=*/false, nullptr);
+    return parse_v2(std::as_bytes(std::span<const char>(blob)));
   }
   if (version != 1) {
     throw ArtifactError("LiteralPrefilter: unsupported format version " +
@@ -931,13 +861,14 @@ LiteralPrefilter LiteralPrefilter::load(std::istream& is) {
   LiteralPrefilter pf;
   pf.n_ids_ = static_cast<std::size_t>(r.num<std::uint64_t>());
   pf.id_limit_ = static_cast<std::size_t>(r.num<std::uint64_t>());
-  pf.alpha_size_ = static_cast<std::size_t>(r.num<std::uint64_t>());
+  ShippedTables t;
+  t.alpha_size = static_cast<std::size_t>(r.num<std::uint64_t>());
   // id_limit_ sizes the per-scan dedup bitmap; an implausible value must
   // fail here, not OOM the first candidates() call.
   if (pf.n_ids_ > kMaxTableElems || pf.id_limit_ > kMaxTableElems) {
     throw ResourceError("LiteralPrefilter: implausible id count");
   }
-  r.bytes(pf.alpha_.data(), pf.alpha_.size() * sizeof(std::uint16_t));
+  r.bytes(t.alpha.data(), t.alpha.size() * sizeof(std::uint16_t));
   std::vector<std::int32_t> next, out_link, out_begin, out_end;
   std::vector<std::size_t> out_ids;
   r.i32s(next);
@@ -946,11 +877,6 @@ LiteralPrefilter LiteralPrefilter::load(std::istream& is) {
   r.i32s(out_end);
   r.u64s(out_ids);
   r.u64s(pf.fallback_raw_);
-  pf.next_.reset(std::move(next));
-  pf.out_link_.reset(std::move(out_link));
-  pf.out_begin_.reset(std::move(out_begin));
-  pf.out_end_.reset(std::move(out_end));
-  pf.out_ids_.reset(std::move(out_ids));
   const std::uint64_t n_keywords = r.count();
   pf.keywords_.resize(static_cast<std::size_t>(n_keywords));
   for (Keyword& kw : pf.keywords_) {
@@ -961,7 +887,12 @@ LiteralPrefilter LiteralPrefilter::load(std::istream& is) {
   }
   r.verify_checksum();
 
-  pf.validate_loaded();
+  t.next = raw_table(next);
+  t.out_link = raw_table(out_link);
+  t.out_begin = raw_table(out_begin);
+  t.out_end = raw_table(out_end);
+  t.out_ids = raw_table(out_ids);
+  pf.check_registrations(validate_tables(t, pf.id_limit_));
   return pf;
 }
 
@@ -977,58 +908,18 @@ StreamingMatcher::StreamingMatcher(const LiteralPrefilter& prefilter)
 
 void StreamingMatcher::feed(std::string_view chunk) {
   bytes_fed_ += chunk.size();
-  if (pf_->n_automaton_ids_ == 0 || pf_->alpha_size_ == 0 ||
-      n_seen_ == pf_->n_automaton_ids_) {
+  if (!pf_->teddy_.has_value() || n_seen_ == pf_->n_literal_ids_) {
     return;  // nothing to find (or everything already found)
   }
-  if (pf_->use_teddy()) {
-    if (pf_->n_dense_shards_ > 0 && !pf_->teddy_dense_) {
-      // Hybrid route: dense-shard literals never enter the Teddy window.
-      // The sub-automaton is resumable (dense_state_ carries across
-      // chunks), so it scans each chunk exactly once with no carry tail.
-      n_seen_ = LiteralPrefilter::ac_walk(pf_->dense_, chunk, dense_state_,
-                                          seen_, found_, n_seen_,
-                                          pf_->n_automaton_ids_);
-    }
-    feed_teddy(chunk);
-    return;
+  if (pf_->n_dense_shards_ > 0) {
+    // Dense-shard literals never enter the Teddy window. The sub-automaton
+    // is resumable (dense_state_ carries across chunks), so it scans each
+    // chunk exactly once with no carry tail.
+    n_seen_ = LiteralPrefilter::ac_walk(pf_->dense_, chunk, dense_state_,
+                                        seen_, found_, n_seen_,
+                                        pf_->n_literal_ids_);
   }
-  const auto& alpha = pf_->alpha_;
-  const std::size_t alpha_size = pf_->alpha_size_;
-  // Hoisted once per chunk, as in candidates_into: the tables may be
-  // owned or borrowed and the ownership branch stays out of the loop.
-  const std::int32_t* const next = pf_->next_.data();
-  const std::int32_t* const out_link = pf_->out_link_.data();
-  const std::int32_t* const out_begin = pf_->out_begin_.data();
-  const std::int32_t* const out_end = pf_->out_end_.data();
-  const std::size_t* const out_ids = pf_->out_ids_.data();
-  std::int32_t state = state_;
-  for (const char ch : chunk) {
-    const std::uint16_t code = alpha[static_cast<unsigned char>(ch)];
-    if (code == LiteralPrefilter::kNoCode) {
-      state = 0;
-      continue;
-    }
-    state = next[static_cast<std::size_t>(state) * alpha_size + code];
-    for (std::int32_t s = state; s != kNone;
-         s = out_link[static_cast<std::size_t>(s)]) {
-      if (out_begin[static_cast<std::size_t>(s)] ==
-          out_end[static_cast<std::size_t>(s)]) {
-        continue;
-      }
-      for (std::int32_t i = out_begin[static_cast<std::size_t>(s)];
-           i < out_end[static_cast<std::size_t>(s)]; ++i) {
-        const std::size_t id = out_ids[static_cast<std::size_t>(i)];
-        if (!seen_[id]) {
-          seen_[id] = 1;
-          found_.push_back(id);
-          ++n_seen_;
-        }
-      }
-    }
-    if (n_seen_ == pf_->n_automaton_ids_) break;  // carry on counting bytes
-  }
-  state_ = state;
+  if (pf_->teddy_active()) feed_teddy(chunk);
 }
 
 void StreamingMatcher::feed_teddy(std::string_view chunk) {
@@ -1043,7 +934,7 @@ void StreamingMatcher::feed_teddy(std::string_view chunk) {
   // The window is also kept under Teddy's 32-bit position space no matter
   // how large one chunk is.
   constexpr std::size_t kSlice = std::size_t{1} << 30;
-  while (!chunk.empty() && n_seen_ < pf_->n_automaton_ids_) {
+  while (!chunk.empty() && n_seen_ < pf_->n_literal_ids_) {
     if (window_.size() >= kSlice) {
       scan_window();  // trims the window back to the carry tail
       continue;
@@ -1058,7 +949,7 @@ void StreamingMatcher::feed_teddy(std::string_view chunk) {
 
 void StreamingMatcher::scan_window() {
   pending_ = 0;
-  if (n_seen_ == pf_->n_automaton_ids_) return;
+  if (n_seen_ == pf_->n_literal_ids_) return;
   const teddy::PlanSet& plans = *pf_->teddy_;
   // Every literal occurrence ending in the unscanned suffix starts inside
   // the window (the carry tail in front of it is longest-literal−1 bytes,
@@ -1067,10 +958,9 @@ void StreamingMatcher::scan_window() {
   // already holds); occurrences wholly inside the tail were confirmed by
   // the previous flush.
   n_seen_ = plans.find(window_, hits_, seen_, found_, n_seen_,
-                       pf_->n_automaton_ids_, nullptr, nullptr,
-                       pf_->n_dense_shards_ > 0 && !pf_->teddy_dense_
-                           ? &pf_->dense_shard_
-                           : nullptr);
+                       pf_->n_literal_ids_, nullptr, nullptr,
+                       pf_->n_dense_shards_ > 0 ? &pf_->dense_shard_
+                                                : nullptr);
   const std::size_t keep = plans.max_literal_len() - 1;
   if (window_.size() > keep) window_.erase(0, window_.size() - keep);
 }
@@ -1093,7 +983,6 @@ std::vector<std::size_t> StreamingMatcher::finish() {
 }
 
 void StreamingMatcher::reset() {
-  state_ = 0;
   dense_state_ = 0;
   bytes_fed_ = 0;
   n_seen_ = 0;
@@ -1108,11 +997,10 @@ void StreamingMatcher::rebind(const LiteralPrefilter& prefilter) {
     throw std::logic_error("StreamingMatcher: prefilter not built");
   }
   pf_ = &prefilter;
-  state_ = 0;
   dense_state_ = 0;
   bytes_fed_ = 0;
   n_seen_ = 0;
-  // assign() both sizes the bitmap for the new automaton and zeroes it; a
+  // assign() both sizes the bitmap for the new prefilter and zeroes it; a
   // same-capacity rebind touches no heap.
   seen_.assign(pf_->id_limit_, 0);
   found_.clear();

@@ -17,15 +17,14 @@
 //            1–2-byte literals get their own K=1/K=2 shift-or shards
 //            instead of disqualifying the whole set), oversized classes
 //            split across shards, crowded shards widened to 16 Fat
-//            buckets. There is no qualification gate — any non-empty
-//            literal set compiles — so candidates_into() never falls back
-//            to the automaton for real databases. The byte-at-a-time
-//            Aho–Corasick walk remains as the differential baseline
-//            (set_first_stage(FirstStage::kAutomaton)) and covers the two
-//            residual cases: texts past Teddy's 32-bit position space and
-//            streaming resume (below). Both first stages produce
-//            byte-identical candidate sets — pinned by the oracles in
-//            tests/teddy_test.cpp.
+//            buckets. Any non-empty literal set compiles, and the plan
+//            set is the only first stage: a shard too dense for the SIMD
+//            pass (kDenseRouteHitsPerByte) is excised from it and its
+//            literals walk a small Aho–Corasick sub-automaton derived from
+//            exactly those shards. Texts past Teddy's 32-bit position
+//            space are sliced through StreamingMatcher. Candidate sets
+//            equal a per-literal brute-force search — pinned by the
+//            oracles in tests/teddy_test.cpp.
 //   tier 2 — window confirm (teddy::Plan::confirm). Each sparse hit is
 //            resolved to literal occurrences by a per-bucket window-key
 //            lookup plus bounded memcmp, deduplicated per id. Patterns
@@ -47,18 +46,16 @@
 // Build once, then share freely: candidates() is const and thread-safe, so
 // one prefilter serves any number of concurrent batch-scan workers.
 //
-// The automaton is also a *release artifact*: serialize() writes the
-// frozen goto/fail/output tables in a versioned, endian-checked flat
-// layout, and load() restores an automaton whose candidates() output is
-// byte-identical to the freshly built one — deployment channels load the
-// artifact instead of rebuilding per process. The v2 layout stores each
-// table as a 64-byte-aligned, length-prefixed section, so load() over a
-// borrowed mapping (support/mapped_file.h) points std::span views straight
-// into the mapped bytes — zero table copies, page cache shared across
-// every process on the box. The owning istream path remains for v1
-// artifacts and unaligned sources. For data that arrives in pieces (a
-// script streamed by the network, a large file read in blocks),
-// StreamingMatcher walks the same automaton chunk by chunk.
+// The release artifact (`.kpf`, core/sigdb.h) carries a full Aho–Corasick
+// automaton over every registered literal, but only as verified payload:
+// serialize() compiles the goto/fail/output tables when it writes them
+// (versioned, endian-checked, v2 sections 64-byte aligned), and load()
+// checksums and structurally validates them, then drops them and rebuilds
+// the scan state from the registrations, exactly like build(); verify()
+// runs the same checks and builds nothing. No scan ever walks the shipped
+// tables. For data that arrives in pieces (a script
+// streamed by the network, a large file read in blocks), StreamingMatcher
+// runs the same first stage chunk by chunk.
 #pragma once
 
 #include <array>
@@ -77,59 +74,12 @@ namespace kizzle::match {
 
 class StreamingMatcher;
 
-// Ownership-abstracted flat table: the element storage either lives in an
-// owned vector (build(), v1/istream loads) or is a borrowed view into an
-// external mapping (zero-copy v2 loads). Readers see one interface either
-// way; hot loops hoist data() once and index raw. Copying a borrowed
-// table copies the borrow — whoever owns the mapping must outlive every
-// copy, which engine::Database guarantees by holding its mapping in a
-// shared_ptr.
-template <typename T>
-class TableRef {
- public:
-  TableRef() = default;
-  explicit TableRef(std::vector<T> own) : own_(std::move(own)) {}
-
-  void reset(std::vector<T> own) {
-    own_ = std::move(own);
-    ext_ = nullptr;
-    ext_size_ = 0;
-  }
-  void reset_view(const T* data, std::size_t n) {
-    own_.clear();
-    own_.shrink_to_fit();
-    ext_ = data;
-    ext_size_ = n;
-  }
-
-  bool borrowed() const { return ext_ != nullptr; }
-  const T* data() const { return borrowed() ? ext_ : own_.data(); }
-  std::size_t size() const { return borrowed() ? ext_size_ : own_.size(); }
-  bool empty() const { return size() == 0; }
-  const T& operator[](std::size_t i) const { return data()[i]; }
-  std::span<const T> view() const { return {data(), size()}; }
-  const T* begin() const { return data(); }
-  const T* end() const { return data() + size(); }
-
- private:
-  std::vector<T> own_;
-  const T* ext_ = nullptr;
-  std::size_t ext_size_ = 0;
-};
-
-// First-stage selection. kAuto routes through the Teddy SIMD matcher
-// whenever the registered literal set qualifies; kAutomaton forces the
-// byte-at-a-time Aho–Corasick walk (the differential baseline for tests
-// and benchmarks). Candidate sets are identical either way.
-enum class FirstStage { kAuto, kAutomaton };
-
-// Why a scan did not take the Teddy first stage (kNone when it did).
+// Why a scan did not take the one-shot Teddy first stage (kNone when it
+// did).
 enum class PrefilterFallback : std::uint8_t {
-  kNone,             // Teddy first stage ran (possibly minus dense shards)
-  kForcedAutomaton,  // set_first_stage(FirstStage::kAutomaton) override
-  kTextTooLarge,     // text exceeds Teddy's 32-bit position space
-  kNoLiterals,       // nothing registered under literals (fallback ids only)
-  kDenseLiterals,    // EVERY plan-set shard past kDenseRouteHitsPerByte
+  kNone,          // Teddy first stage ran (dense shards on the sub-automaton)
+  kTextTooLarge,  // text past Teddy's 32-bit positions: sliced via streaming
+  kNoLiterals,    // nothing registered under literals (fallback ids only)
 };
 
 // Dense-shard routing threshold, applied PER SHARD: a shard whose expected
@@ -141,10 +91,8 @@ enum class PrefilterFallback : std::uint8_t {
 // table walk — and the short-literal benches show the automaton winning
 // outright (BM_TeddyPrefilterShortLiterals/512). Routing per shard keeps
 // the selective long-literal shards on the SIMD path even when one
-// crowded short-literal shard is dense: one bad length class no longer
-// drags the whole database to the byte-at-a-time walk (only when every
-// shard is dense does the scan take the full-automaton route,
-// PrefilterFallback::kDenseLiterals). Real signature databases estimate
+// crowded short-literal shard is dense; when every shard is dense the
+// sub-automaton simply covers them all. Real signature databases estimate
 // orders of magnitude below this; only short-common-literal sets trip it.
 inline constexpr double kDenseRouteHitsPerByte = 0.20;
 
@@ -168,12 +116,14 @@ class LiteralPrefilter {
   // not both (the merged candidate list would report it twice).
   void add(std::size_t id, std::string_view literal);
 
-  // Freezes the automaton. Must be called after the last add() and before
-  // the first candidates(). May be called again after further add()s;
-  // rebuilding is idempotent — every derived table (including the
-  // sorted/deduplicated fallback list) is regenerated from the raw
-  // registrations, so an incrementally grown automaton is indistinguishable
-  // from one built fresh with the same final registration set.
+  // Freezes the registrations into the scan state: the fallback list, the
+  // Teddy plan set, the dense-shard routing and its sub-automaton. Must be
+  // called after the last add() and before the first candidates(). May be
+  // called again after further add()s; rebuilding is idempotent — every
+  // derived table (including the sorted/deduplicated fallback list) is
+  // regenerated from the raw registrations, so an incrementally grown
+  // prefilter is indistinguishable from one built fresh with the same final
+  // registration set.
   void build();
 
   bool built() const { return built_; }
@@ -182,10 +132,10 @@ class LiteralPrefilter {
   std::size_t id_count() const { return n_ids_; }
   std::size_t fallback_count() const { return fallback_.size(); }
 
-  // One streaming pass over `text`: every id whose literal occurs in
-  // `text`, merged with the fallback ids. Sorted ascending, deduplicated —
-  // callers that want brute-force-identical first-match semantics just
-  // iterate in order and stop at the first hit. Thread-safe.
+  // One pass over `text`: every id whose literal occurs in `text`, merged
+  // with the fallback ids. Sorted ascending, deduplicated — callers that
+  // want brute-force-identical first-match semantics just iterate in order
+  // and stop at the first hit. Thread-safe.
   std::vector<std::size_t> candidates(std::string_view text) const;
 
   // Same, reusing `out` to avoid per-call allocation on hot paths.
@@ -194,13 +144,13 @@ class LiteralPrefilter {
 
   // Same, additionally reusing `hits` as the Teddy first stage's candidate
   // position buffer (engine::Scratch owns one so steady-state scans stay
-  // zero-alloc). Unused when the automaton walk is taken. `stats`, when
-  // non-null, receives this call's tier 1–2 counters. `hints`, when
-  // non-null, is resized to id_count-capacity and filled per id with the
-  // start position of that id's leftmost registered-literal occurrence in
-  // `text` (teddy::kNoHint where unknown: fallback ids, automaton-walk
-  // scans). Tier-3 confirmation seeds its anchor search there instead of
-  // re-finding the literal from the start of the text.
+  // zero-alloc). `stats`, when non-null, receives this call's tier 1–2
+  // counters. `hints`, when non-null, is resized to id_count-capacity and
+  // filled per id with the start position of that id's leftmost
+  // registered-literal occurrence in `text` (teddy::kNoHint where unknown:
+  // fallback ids, dense-shard literals, sliced over-4-GiB texts). Tier-3
+  // confirmation seeds its anchor search there instead of re-finding the
+  // literal from the start of the text.
   void candidates_into(std::string_view text, std::vector<std::size_t>& out,
                        teddy::HitBuffer& hits, PrefilterStats* stats = nullptr,
                        std::vector<std::uint32_t>* hints = nullptr) const;
@@ -208,90 +158,56 @@ class LiteralPrefilter {
   // Ids with no usable literal (always candidates), sorted ascending.
   const std::vector<std::size_t>& fallback_ids() const { return fallback_; }
 
-  // First-stage routing. The knob is a scan-time override (not serialized;
-  // kAuto after load()) — it must not be flipped while StreamingMatchers
-  // are mid-stream over this prefilter.
-  void set_first_stage(FirstStage stage) { first_stage_ = stage; }
-  FirstStage first_stage() const { return first_stage_; }
-  // True when scans currently route through the Teddy first stage.
-  bool teddy_active() const { return use_teddy(); }
-  // True when EVERY compiled shard was judged too dense for the SIMD path
-  // (kDenseRouteHitsPerByte) and scans route to the full automaton walk.
-  bool teddy_dense() const { return teddy_dense_; }
+  // True when at least one plan-set shard runs the SIMD pass (false with no
+  // literals, or when every shard is dense-routed).
+  bool teddy_active() const {
+    return teddy_.has_value() && n_dense_shards_ < teddy_->shard_count();
+  }
   // Shards excised from the SIMD pass and routed to the dense-literal
-  // sub-automaton (0 on all-sparse sets; == shard_count when teddy_dense).
+  // sub-automaton (0 on all-sparse sets).
   std::size_t dense_shard_count() const { return n_dense_shards_; }
   // Per-shard dense-route flags, indexed like teddy_plans()->shards().
   const std::vector<std::uint8_t>& dense_shard_flags() const {
     return dense_shard_;
   }
   // The compiled sharded Teddy plan set, or nullptr when no literal is
-  // registered. Exposed for the differential tests and benchmarks.
+  // registered. Exposed for the analyzer, the tests and the benchmarks.
   const teddy::PlanSet* teddy_plans() const {
     return teddy_.has_value() ? &*teddy_ : nullptr;
   }
 
-  // ---------------------------- introspection ----------------------------
-  //
-  // Read-only views for the static analyzer (analyze/analyze.h), which
-  // recompiles an artifact's embedded signatures and structurally compares
-  // the result against the shipped tables (diverse-double-compile style:
-  // catches compiler skew and tampering that a checksum re-hash cannot).
-  // Spans alias this prefilter's storage; they are invalidated by add(),
-  // build(), and destruction.
-  struct TableView {
-    const std::array<std::uint16_t, 256>* alpha = nullptr;
-    std::size_t alpha_size = 0;
-    std::span<const std::int32_t> next;
-    std::span<const std::int32_t> out_link;
-    std::span<const std::int32_t> out_begin;
-    std::span<const std::int32_t> out_end;
-    std::span<const std::size_t> out_ids;
-    std::span<const std::size_t> fallback;
-    std::size_t n_ids = 0;
-    std::size_t id_limit = 0;
-  };
-  TableView tables() const;
-  // The raw (literal, id) registrations, in registration order.
-  struct Registration {
-    std::string_view literal;
-    std::size_t id = 0;
-  };
-  std::vector<Registration> registrations() const;
-
   // ---------------------------- persistence ----------------------------
   //
-  // Flat binary layout of the built automaton: a magic/version/endianness
-  // header, the goto/fail/output tables, the raw registrations (so further
-  // add()+build() after load() behaves exactly like on the original), and
-  // a trailing FNV-1a checksum over the payload. v2 (the current format)
-  // is self-delimiting — a length-prefixed payload whose table sections
-  // sit at 64-byte-aligned offsets relative to the blob start and whose
-  // checksum is one single-pass sum over the whole payload — so the span
-  // overload of load() can verify a borrowed mapping in one pass and then
-  // point the automaton tables straight into it. Version policy: the
-  // format version is bumped on ANY layout change; load() accepts v1
-  // (owning tables) and v2, rejects unknown versions, foreign endianness
-  // and corrupt/truncated payloads with kizzle::ArtifactError, and
-  // declared sizes past the allocation caps with kizzle::ResourceError
-  // (support/errors.h) — before allocating — rather than guessing.
-  // serialize() throws std::logic_error if the automaton is not built;
-  // pass version 1 to emit the legacy layout for old readers.
+  // Flat binary layout: a magic/version/endianness header, the raw
+  // registrations (so further add()+build() after load() behaves exactly
+  // like on the original), the goto/fail/output tables of the full
+  // Aho–Corasick automaton over them, and a trailing FNV-1a checksum over
+  // the payload. v2 (the current format) is self-delimiting — a
+  // length-prefixed payload whose table sections sit at 64-byte-aligned
+  // offsets relative to the blob start and whose checksum is one
+  // single-pass sum over the whole payload. serialize() compiles the
+  // tables as it writes them, so equal registrations give equal bytes;
+  // load() verifies them and then discards them. Version policy: the
+  // format version is bumped on ANY layout change; load() accepts v1 and v2, rejects unknown versions, foreign
+  // endianness and corrupt/truncated payloads with kizzle::ArtifactError,
+  // and declared sizes past the allocation caps with
+  // kizzle::ResourceError (support/errors.h) — before allocating — rather
+  // than guessing. serialize() throws std::logic_error if the prefilter is
+  // not built; pass version 1 to emit the legacy layout for old readers.
   static constexpr std::uint32_t kFormatVersion = 2;
   void serialize(std::ostream& os,
                  std::uint32_t version = kFormatVersion) const;
+  // Both loaders return a built prefilter, as if the registrations had
+  // been add()ed and build() called.
   static LiteralPrefilter load(std::istream& is);
-  // Zero-copy load over `blob` (a serialized prefilter, possibly followed
-  // by trailing bytes): a v2 blob whose base address is 64-byte aligned is
-  // borrowed in place — the mapping must then outlive the prefilter and
-  // every copy of it — while v1 blobs and unaligned bases fall back to
-  // owned tables, same semantics. `consumed`, when non-null, receives the
-  // number of bytes the serialized prefilter occupied.
-  static LiteralPrefilter load(std::span<const std::byte> blob,
-                               std::size_t* consumed = nullptr);
-  // True when this prefilter's tables are borrowed views into an external
-  // mapping rather than owned storage.
-  bool zero_copy() const { return next_.borrowed(); }
+  // Load over `blob` (a serialized prefilter, possibly followed by
+  // trailing bytes), verified in place; nothing refers to it afterwards.
+  static LiteralPrefilter load(std::span<const std::byte> blob);
+  // The checks of load(), with the same errors in the same order, without
+  // building any scan state; returns the registered id count. For callers
+  // that scan with their own compilation (engine::Database::from_artifact).
+  static std::size_t verify(std::istream& is);
+  static std::size_t verify(std::span<const std::byte> blob);
 
  private:
   friend class StreamingMatcher;
@@ -303,8 +219,8 @@ class LiteralPrefilter {
 
   // One compiled Aho–Corasick automaton: dense goto table over a reduced
   // alphabet, fail links folded in, flattened per-state output lists. The
-  // main (serialized) tables and the derived dense-shard sub-automaton
-  // share this shape, one compiler, and one walk.
+  // serialized tables and the dense-shard sub-automaton share this shape
+  // and one compiler; only the sub-automaton is ever walked.
   struct AcTables {
     std::array<std::uint16_t, 256> alpha{};
     std::size_t alpha_size = 0;
@@ -316,7 +232,9 @@ class LiteralPrefilter {
   };
 
   // Compiles `keywords` (in order — table layout is order-deterministic,
-  // which the artifact verifier's recompile-and-compare relies on).
+  // which the artifact verifier's byte comparison relies on). Reduced
+  // alphabet: only bytes that occur in some literal get a column; any
+  // other byte resets to the root.
   static AcTables compile_automaton(const std::vector<Keyword>& keywords);
 
   // Resumable walk over `t`: advances `state` across `text`, appending
@@ -330,78 +248,45 @@ class LiteralPrefilter {
                              std::vector<std::size_t>& out,
                              std::size_t n_seen, std::size_t stop_at);
 
-  // Recomputes everything derived from the raw registrations that is not
-  // part of the automaton tables proper (shared by build() and load()).
-  // Includes the Teddy plan and the dense-shard routing state: rebuilt
-  // from the registrations at every build() AND at load() — the
-  // serialized `.kpf` layout is unchanged, and built and loaded
-  // prefilters route identically.
-  void finalize_derived();
-
-  // True when scans route through the Teddy first stage at all (the knob
-  // allows it, a plan exists, and not every shard is dense-routed);
-  // route_teddy() additionally checks the per-text size guard.
-  bool use_teddy() const {
-    return first_stage_ == FirstStage::kAuto && teddy_.has_value() &&
-           !teddy_dense_;
-  }
-  // True when this text should go through the Teddy first stage.
-  bool route_teddy(std::string_view text) const;
-
   std::vector<Keyword> keywords_;
   std::vector<std::size_t> fallback_raw_;  // as registered, may repeat
   std::vector<std::size_t> fallback_;      // derived: sorted, deduplicated
   std::optional<teddy::PlanSet> teddy_;    // derived: SIMD first stage
   // Derived dense-shard routing (per-shard kDenseRouteHitsPerByte): flags
-  // indexed like the plan set's shards, their count, the sub-automaton
-  // over exactly the flagged shards' literals, and whether ALL shards are
-  // dense (full-automaton route; the hybrid adds nothing then).
+  // indexed like the plan set's shards, their count, and the sub-automaton
+  // over exactly the flagged shards' literals.
   std::vector<std::uint8_t> dense_shard_;
   std::size_t n_dense_shards_ = 0;
   AcTables dense_;
-  bool teddy_dense_ = false;
-  FirstStage first_stage_ = FirstStage::kAuto;
   std::size_t n_ids_ = 0;
   std::size_t id_limit_ = 0;  // max registered id + 1 (dedup bitmap size)
-  std::size_t n_automaton_ids_ = 0;  // distinct ids reachable via literals
+  std::size_t n_literal_ids_ = 0;  // distinct ids registered under literals
   bool built_ = false;
 
-  // Parses one v2 blob: header, registrations, section directory, then
-  // either borrows the table sections in place (`borrow`, requires a
-  // 64-byte-aligned base) or copies them into owned storage. Shared by
-  // the istream and span load paths.
-  static LiteralPrefilter parse_v2(std::span<const std::byte> blob,
-                                   bool borrow, std::size_t* consumed);
-  // Post-load structural validation + derived-state rebuild, shared by
-  // every load path (v1 istream, v2 owned, v2 borrowed).
-  void validate_loaded();
-
-  // Dense goto table over a reduced alphabet: only bytes that occur in
-  // some literal get a column; any other byte resets to the root. The
-  // main tables are ownership-abstracted (TableRef): owned after build()
-  // and v1/istream loads, borrowed views into the caller's mapping after
-  // a zero-copy v2 load.
-  static constexpr std::uint16_t kNoCode = 0xFFFF;
-  std::array<std::uint16_t, 256> alpha_{};
-  std::size_t alpha_size_ = 0;
-  TableRef<std::int32_t> next_;       // n_states × alpha_size_
-  TableRef<std::int32_t> out_link_;   // nearest suffix state with output
-  TableRef<std::int32_t> out_begin_;  // per-state slice into out_ids_
-  TableRef<std::int32_t> out_end_;
-  TableRef<std::size_t> out_ids_;
+  // Parse and verify a serialized prefilter (v1 or v2) into its raw
+  // registrations, unbuilt; load() builds the result, verify() drops it.
+  static LiteralPrefilter parse(std::istream& is);
+  static LiteralPrefilter parse(std::span<const std::byte> blob);
+  // One v2 blob: header, checksum, registrations, section directory and
+  // the table sections in place. Shared by both parse paths.
+  static LiteralPrefilter parse_v2(std::span<const std::byte> blob);
+  // Registration checks, shared by every parse path once the shipped
+  // tables have been verified (`tables_walkable`: they hold a root state
+  // over a non-empty alphabet).
+  void check_registrations(bool tables_walkable) const;
 };
 
 // Resumable cursor over a LiteralPrefilter for data that arrives in
-// chunks. feed() carries the first stage's state across chunk boundaries.
-// On the automaton path the DFA state *is* the bounded tail buffer: it
-// encodes exactly the longest literal prefix ending at the boundary (at
-// most longest-literal−1 trailing bytes), so a literal straddling two
-// chunks is recognized the moment its last byte arrives, with no replay of
-// previous chunks. On the Teddy path the cursor keeps the last
-// longest-literal−1 raw bytes instead and scans them glued to each new
-// chunk — every occurrence ending inside a chunk lies inside that window,
-// and re-confirmed ids deduplicate — so both paths report exactly the
-// candidate set of the concatenation.
+// chunks. feed() carries the first stage's state across chunk boundaries:
+// the cursor keeps the last longest-literal−1 raw bytes and scans them
+// glued to the newly arrived bytes through the Teddy plan set — every
+// occurrence ending inside a chunk lies inside that window, and
+// re-confirmed ids deduplicate — while the dense-shard sub-automaton (when
+// some shard is dense) streams byte by byte with its DFA state carried
+// across boundaries. Both report exactly the candidate set of the
+// concatenation. Unscanned bytes are batched, and a window never grows
+// past 1 GiB, inside Teddy's 32-bit position space — which is how
+// one-shot candidates() handles texts over 4 GiB.
 // finish() merges what has been seen so far with the fallback ids into the
 // same sorted, deduplicated candidate set one-shot candidates() would
 // return for the concatenation of all fed chunks. finish() is a snapshot:
@@ -420,18 +305,18 @@ class StreamingMatcher {
   void feed(std::string_view chunk);
 
   // Candidate set for everything fed since construction/reset: identical
-  // to prefilter.candidates(<all chunks concatenated>). Non-const: the
-  // Teddy path batches unscanned bytes, and finish flushes the remainder.
+  // to prefilter.candidates(<all chunks concatenated>). Non-const: unscanned
+  // bytes are batched, and finish flushes the remainder.
   std::vector<std::size_t> finish();
   void finish_into(std::vector<std::size_t>& out);
 
   // Rewinds to the start-of-text state for the next document.
   void reset();
 
-  // Re-targets the cursor at `prefilter` — possibly a different automaton —
+  // Re-targets the cursor at `prefilter` — possibly a different one —
   // resizing the dedup bitmap and rewinding. Equivalent to constructing a
-  // fresh matcher, but reuses the existing buffers: rebinding to an
-  // automaton of the same id capacity performs no heap allocation. This is
+  // fresh matcher, but reuses the existing buffers: rebinding to a
+  // prefilter of the same id capacity performs no heap allocation. This is
   // how a recycled engine::Scratch re-arms its streaming cursor.
   void rebind(const LiteralPrefilter& prefilter);
 
@@ -444,18 +329,17 @@ class StreamingMatcher {
   void scan_window();
 
   const LiteralPrefilter* pf_;
-  std::int32_t state_ = 0;
-  // Cursor into the dense-shard sub-automaton (hybrid-routed prefilters):
-  // dense literals stream byte-at-a-time as chunks arrive, while sparse
-  // shards batch through feed_teddy — the two cursors share seen_/found_.
+  // Cursor into the dense-shard sub-automaton: dense literals stream
+  // byte-at-a-time as chunks arrive, while sparse shards batch through
+  // feed_teddy — the two cursors share seen_/found_.
   std::int32_t dense_state_ = 0;
   std::size_t bytes_fed_ = 0;
   std::size_t n_seen_ = 0;
   std::vector<std::uint8_t> seen_;    // per-id dedup bitmap
-  std::vector<std::size_t> found_;    // automaton ids, discovery order
-  std::string window_;                // teddy: carry tail + unscanned bytes
-  std::size_t pending_ = 0;           // teddy: unscanned byte count
-  teddy::HitBuffer hits_;             // teddy: reusable candidate positions
+  std::vector<std::size_t> found_;    // literal ids, discovery order
+  std::string window_;                // carry tail + unscanned bytes
+  std::size_t pending_ = 0;           // unscanned byte count
+  teddy::HitBuffer hits_;             // reusable candidate positions
 };
 
 }  // namespace kizzle::match

@@ -7,8 +7,9 @@
 // this interface.
 //
 // Scanning routes through engine::scan: one compiled engine::Database
-// (shared two-stage literal prefilter — Teddy SIMD first stage with an
-// Aho–Corasick fallback, match/prefilter.h — plus patterns, rebuilt lazily
+// (shared two-stage literal prefilter — Teddy SIMD first stage with a
+// dense-shard sub-automaton, match/prefilter.h — plus patterns, rebuilt
+// lazily
 // after add()) and a pool of per-worker engine::Scratch instances, so the
 // steady-state scan path allocates nothing beyond the returned hit
 // vector. scan(), any_match() and scan_batch() are const and safe to call

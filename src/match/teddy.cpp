@@ -794,7 +794,7 @@ std::size_t PlanSet::find(std::string_view text, HitBuffer& hits,
     if (n_seen >= stop_at) break;
     if (skip_shard != nullptr && i < skip_shard->size() &&
         (*skip_shard)[i] != 0) {
-      continue;  // routed elsewhere (dense-shard automaton walk)
+      continue;  // routed elsewhere (dense-shard sub-automaton walk)
     }
     const Plan& shard = shards_[i];
     shard.scan(text, hits);

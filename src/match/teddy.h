@@ -1,9 +1,9 @@
 // Teddy-style vectorized literal first stage for the prefilter.
 //
-// The Aho–Corasick automaton walk (prefilter.h) is byte-at-a-time: every
-// scanned byte costs a dependent table load, so single-stream throughput is
-// capped by load latency no matter how literal-friendly the database is.
-// Hyperscan's Teddy algorithm trades the automaton for SIMD nibble tables:
+// An Aho–Corasick automaton walk is byte-at-a-time: every scanned byte
+// costs a dependent table load, so single-stream throughput is capped by
+// load latency no matter how literal-friendly the database is. Hyperscan's
+// Teddy algorithm trades the automaton for SIMD nibble tables:
 // a K-byte (1–4) window of every registered literal is folded into
 // 16-entry low-nibble/high-nibble shuffle masks, one per window position,
 // each entry a per-bucket bitmask. A PSHUFB per table turns 16 (SSSE3)
@@ -47,7 +47,7 @@
 // as a Plan (Fat once it is crowded). find() scans the shards
 // back-to-back over the same text through one shared HitBuffer — so
 // short-literal and >4096-literal registrations keep the SIMD first stage
-// instead of falling back to the automaton walk. The 1–2-byte shards run
+// like any other set. The 1–2-byte shards run
 // the same shift-or dataflow with K=1/2 (the vector kernels degenerate to
 // pure table lookups); their hits are denser, but confirmation is a
 // window-key lookup plus a bounded memcmp and the per-id dedup bitmap
@@ -84,7 +84,7 @@ namespace kizzle::match::teddy {
 // text[at .. at+K). `buckets` is the bitmask of buckets to confirm (16
 // bits so Fat plans fit; 8-bucket plans use the low byte). Positions are
 // 32-bit: scanned units are samples/stream windows, not multi-gigabyte
-// blobs (callers guard and fall back past 4 GiB).
+// blobs (the prefilter slices larger texts through its streaming cursor).
 struct Hit {
   std::uint32_t at = 0;
   std::uint16_t buckets = 0;
@@ -98,7 +98,7 @@ struct Hit {
 using HitBuffer = std::vector<Hit>;
 
 // "No position hint" sentinel for per-id hint arrays (positions fit 32
-// bits — callers fall back before 4 GiB texts ever reach a plan).
+// bits — larger texts are sliced before they ever reach a plan).
 inline constexpr std::uint32_t kNoHint = 0xFFFFFFFFu;
 
 enum class Impl { kScalar, kSsse3, kAvx2 };
@@ -157,7 +157,7 @@ class Plan {
   // the prior probability mass of bytes whose mask includes the bucket;
   // combined across buckets as 1 - prod(1 - d_b). ~0 for selective shards;
   // approaching 1 when nearly every position hits (the confirm-bound case
-  // the automaton handles better). Drives dense-shard routing
+  // an automaton walk handles better). Drives dense-shard routing
   // (prefilter.h) and the analyzer's density diagnostics.
   double hit_density_estimate() const { return hit_density_; }
 
@@ -228,8 +228,7 @@ class Plan {
 // shards scanned back-to-back. Short literals (length 1–2) get their own
 // K=1/K=2 shards; classes larger than Plan::kShardMaxLiterals are split;
 // crowded shards go Fat. build() fails only on an empty set — there is no
-// qualification gate anymore, so the prefilter never falls back to the
-// automaton for real databases.
+// qualification gate, so every prefilter with a literal runs on a plan set.
 class PlanSet {
  public:
   using Literal = Plan::Literal;
@@ -248,8 +247,8 @@ class PlanSet {
 
   // Expected candidate windows per scanned byte across all shards (sum of
   // the per-shard estimates — shards scan the text back-to-back, so their
-  // confirm costs add). The prefilter compares this against its dense-route
-  // threshold to decide SIMD vs automaton.
+  // confirm costs add). Dense routing is decided per shard (prefilter.h);
+  // this whole-set figure is for reports and tests.
   double expected_hits_per_byte() const;
 
   // Scans every shard over `text` (sharing `hits` as the per-shard
@@ -258,8 +257,8 @@ class PlanSet {
   // `stop_at`. `counters`, when non-null, accumulates first-stage stats;
   // `hint_at` forwards to Plan::confirm (leftmost-occurrence positions).
   // `skip_shard`, when non-null, is indexed by shard position: flagged
-  // shards are not scanned — the prefilter routes its dense shards to an
-  // automaton walk instead and excises them from the SIMD pass here.
+  // shards are not scanned — the prefilter routes its dense shards to a
+  // sub-automaton walk instead and excises them from the SIMD pass here.
   std::size_t find(std::string_view text, HitBuffer& hits,
                    std::vector<std::uint8_t>& seen,
                    std::vector<std::size_t>& out, std::size_t n_seen,

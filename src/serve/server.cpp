@@ -4,6 +4,7 @@
 
 #include <condition_variable>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -447,8 +448,8 @@ ScanServer::SwapResult ScanServer::deploy_artifact(std::istream& artifact) {
       // verification of the shipped prefilter tables: a bad release is
       // refused here, at the last hop, even if every upstream gate was
       // skipped.
-      std::istringstream lint_in(bytes);
-      const analyze::Report report = analyze::analyze_artifact(lint_in);
+      const analyze::Report report = analyze::analyze_artifact(
+          std::as_bytes(std::span<const char>(bytes)));
       if (!report.clean()) {
         bump(counters_->swaps_rejected);
         return {false, epoch(), lint_reason(report)};

@@ -62,7 +62,7 @@
 //     scan.
 //   - streams pin their epoch at open_stream() and finish on it, no
 //     matter how many swaps happen mid-stream (a stream's candidate
-//     cursor is only meaningful against the automaton it was opened on).
+//     cursor is only meaningful against the prefilter it was opened on).
 //   - deploys are *gated*: unless lint_on_swap is off, the incoming
 //     database/artifact runs the full `kizzle lint` analysis
 //     (analyze/analyze.h — for artifacts that includes the

@@ -26,7 +26,7 @@ std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value);
 // granularity part of the sum: writer and reader must call this with
 // identical block sizes in identical order. The v2 formats therefore
 // checksum their whole payload in a SINGLE call, which is also what lets
-// a zero-copy loader verify a borrowed mapping in one pass.
+// a loader verify a mapped file in place in one pass.
 inline constexpr std::uint64_t kChecksumBasis = 0xCBF29CE484222325ull;
 void checksum_update(std::uint64_t& sum, const void* p, std::size_t n);
 

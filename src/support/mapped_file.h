@@ -1,19 +1,17 @@
-// Read-only file mapping for zero-copy artifact loading.
+// Read-only file mapping for copy-free artifact verification.
 //
-// A release artifact's automaton tables run to megabytes; re-reading and
-// heap-copying them per process is the cold-start cost the `.kpf` format
-// exists to avoid. MappedFile mmap()s the file PROT_READ, so every
-// process on one box shares the same page-cache pages and the loader can
-// point std::span views straight into the mapping instead of copying.
+// A release artifact's serialized automaton tables run to megabytes, and
+// every load checksums and validates them; heap-copying them first would
+// double that cost. MappedFile mmap()s the file PROT_READ, so every
+// process on one box shares the same page-cache pages and the loader
+// verifies the bytes in place.
 // When mmap is unavailable (exotic filesystems, zero-length files, or
 // non-POSIX hosts) it degrades to a single heap read with identical
 // semantics — callers only ever see bytes().
 //
-// The mapping is immutable and movable, never copyable. Anything that
-// borrows views into bytes() (a zero-copy LiteralPrefilter, an
-// engine::Database built over one) must keep the MappedFile alive;
-// engine::Database does this by holding a shared_ptr to its mapping, so
-// epoch lifetime management in serve/ works unchanged.
+// The mapping is immutable and movable, never copyable. Views into
+// bytes() are valid while the MappedFile lives; the loaders copy out what
+// they keep, so nothing outlives the call that reads the mapping.
 #pragma once
 
 #include <cstddef>

@@ -277,7 +277,7 @@ TEST(AnalyzeDatabase, DenseShardsAreReported) {
   const engine::Database db = engine::Database::compile(specs);
 
   // Default threshold: nothing to report, and nothing routed away.
-  EXPECT_FALSE(db.prefilter().teddy_dense());
+  EXPECT_EQ(db.prefilter().dense_shard_count(), 0u);
   EXPECT_EQ(analyze_database(db).count(Check::kDenseShard), 0u);
 
   Options opts;

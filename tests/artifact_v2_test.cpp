@@ -1,12 +1,13 @@
-// Zero-copy artifact layer tests (core/sigdb.h, engine/engine.h,
-// serve/server.h): the version-2 bundle through every load path — istream
-// copy-in, borrowed std::span views, and an mmap'd file whose lifetime the
-// database must manage — plus KZDELTA delta artifacts end to end: save /
-// load / apply / retire, lineage-fingerprint enforcement, the serve
-// deploy_delta gate, and the watcher's partial-write debounce. The
-// differential oracles (mmap vs istream over a kitgen corpus, pinned
-// stream across an epoch swap) are the ones that only bite under ASan:
-// a dangling table view has no crash signature in a plain build.
+// Artifact layer tests (core/sigdb.h, engine/engine.h, serve/server.h):
+// the version-2 bundle through every load path — istream copy-in, in-place
+// verification of a std::span at any alignment, and an mmap'd file that
+// the database must not depend on after loading — plus the release bytes
+// pinned against a committed artifact, and KZDELTA delta artifacts end to
+// end: save / load / apply / retire, lineage-fingerprint enforcement, the
+// serve deploy_delta gate, and the watcher's partial-write debounce. The
+// lifetime oracles (a mapping dropped or rewritten after load, a stream
+// pinned across an epoch swap) are the ones that only bite under ASan: a
+// dangling view into a mapping has no crash signature in a plain build.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,8 +20,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -83,29 +86,58 @@ TEST(ArtifactV2, IstreamRoundTripPreservesSignatures) {
   EXPECT_EQ(db.fingerprint(), fx.database->fingerprint());
 }
 
-TEST(ArtifactV2, SpanLoadBorrowsTablesWhenAligned) {
-  const serve::ServeFixture& fx = fixture();
-  // A 64-byte-aligned copy of the artifact: the prefilter tables must be
-  // views into it, not owned copies. One byte of skew must demote the
-  // load to owned copies with identical results.
-  std::vector<std::byte> raw(fx.artifact.size() + 64);
-  auto aligned = reinterpret_cast<std::byte*>(
-      (reinterpret_cast<std::uintptr_t>(raw.data()) + 63) & ~std::uintptr_t{63});
-  std::memcpy(aligned, fx.artifact.data(), fx.artifact.size());
-  const core::BundleArtifact borrowed =
-      core::load_artifact({aligned, fx.artifact.size()});
-  EXPECT_TRUE(borrowed.prefilter.zero_copy());
-  expect_same_signatures(borrowed.signatures, fx.signatures);
+std::string serialized(const match::LiteralPrefilter& pf) {
+  std::ostringstream os;
+  pf.serialize(os);
+  return os.str();
+}
 
-  std::vector<std::byte> skewed_buf(fx.artifact.size() + 65);
-  std::byte* skewed = reinterpret_cast<std::byte*>(
-      ((reinterpret_cast<std::uintptr_t>(skewed_buf.data()) + 63) &
-       ~std::uintptr_t{63})) + 1;
-  std::memcpy(skewed, fx.artifact.data(), fx.artifact.size());
-  const core::BundleArtifact owned =
-      core::load_artifact({skewed, fx.artifact.size()});
-  EXPECT_FALSE(owned.prefilter.zero_copy());
-  expect_same_signatures(owned.signatures, fx.signatures);
+TEST(ArtifactV2, SpanLoadVerifiesInPlaceAtAnyAlignment) {
+  const serve::ServeFixture& fx = fixture();
+  const std::string expect = serialized(fx.database->prefilter());
+  // A 64-byte-aligned copy of the artifact and one with a byte of skew:
+  // the section reads are alignment-agnostic, and neither the loaded
+  // artifact nor its prefilter blob loaded on its own refers to the buffer
+  // — the prefilter keeps scanning correctly after the bytes it was loaded
+  // from are overwritten.
+  std::vector<std::byte> raw(fx.artifact.size() + 65);
+  std::byte* aligned = reinterpret_cast<std::byte*>(
+      (reinterpret_cast<std::uintptr_t>(raw.data()) + 63) & ~std::uintptr_t{63});
+  for (const std::size_t skew : {std::size_t{0}, std::size_t{1}}) {
+    std::byte* base = aligned + skew;
+    std::memcpy(base, fx.artifact.data(), fx.artifact.size());
+    const std::span<const std::byte> bytes{base, fx.artifact.size()};
+    const core::BundleArtifact loaded = core::load_artifact(bytes);
+    const match::LiteralPrefilter pf =
+        match::LiteralPrefilter::load(bytes.subspan(loaded.prefilter_offset));
+    std::memset(base, 0xA5, fx.artifact.size());
+    expect_same_signatures(loaded.signatures, fx.signatures);
+    EXPECT_EQ(serialized(pf), expect) << "skew " << skew;
+    for (const serve::CorpusDoc& doc : fx.docs) {
+      ASSERT_EQ(pf.candidates(doc.text),
+                fx.database->prefilter().candidates(doc.text))
+          << "skew " << skew;
+    }
+  }
+}
+
+// The release bytes are a pure function of the signature set: re-saving
+// the embedded signatures of the committed demo artifact reproduces it
+// byte for byte (serialize() compiles the automaton tables as it writes,
+// so this pins that compilation too).
+TEST(ArtifactV2, ReleaseBytesReproduceCommittedArtifact) {
+  const std::filesystem::path path = std::filesystem::path(KIZZLE_FUZZ_DIR) /
+                                     "corpus" / "artifact_v2" / "demo_v2.kpf";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << path;
+  const std::string committed{std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>()};
+  ASSERT_EQ(committed.size(), 301000u);
+  std::istringstream is(committed);
+  const core::BundleArtifact loaded = core::load_artifact(is);
+  std::ostringstream os;
+  core::save_artifact(os, loaded.signatures);
+  EXPECT_TRUE(os.str() == committed) << "re-saved artifact differs";
 }
 
 // The load-path differential oracle: over a full kitgen corpus, a
@@ -151,18 +183,18 @@ TEST(ArtifactV2, Version1ArtifactStillLoads) {
   expect_same_signatures(loaded, fx.signatures);
   EXPECT_EQ(db.fingerprint(), fx.database->fingerprint());
 
-  // The span loader accepts v1 too (replaying through the stream path);
-  // nothing can be borrowed from the unaligned v1 layout.
+  // The span loader accepts v1 too (replaying through the stream path).
   std::vector<std::byte> buf(v1.size());
   std::memcpy(buf.data(), v1.data(), v1.size());
   const core::BundleArtifact bundle = core::load_artifact(buf);
-  EXPECT_FALSE(bundle.prefilter.zero_copy());
+  EXPECT_EQ(bundle.version, 1u);
   expect_same_signatures(bundle.signatures, fx.signatures);
 }
 
-// Lifetime: the database holds its mapping alive. After the caller drops
-// every other reference, scans must still read valid table memory — under
-// ASan this is the unmap-while-borrowed test.
+// Lifetime: nothing in the database refers to the mapping it was loaded
+// from. After the caller drops the only reference (unmapping the file),
+// scans must still read valid memory — under ASan this is the
+// unmap-after-load test.
 TEST(ArtifactV2, DatabaseKeepsMappingAliveAfterCallerDrops) {
   const serve::ServeFixture& fx = fixture();
   const std::string path = write_temp(fx.artifact, "keepalive");
@@ -183,9 +215,9 @@ TEST(ArtifactV2, DatabaseKeepsMappingAliveAfterCallerDrops) {
   EXPECT_GT(matched, 0u);
 }
 
-// A stream pinned to an mmap-backed epoch keeps that epoch's mapping
-// alive across a hot swap that retires it: the stream must finish on its
-// opening database reading valid memory (ASan catches the alternative).
+// A stream pinned to an epoch loaded from a mapping survives a hot swap
+// that retires that epoch: the stream must finish on its opening database
+// reading valid memory (ASan catches the alternative).
 TEST(ArtifactV2, PinnedStreamSurvivesSwapAwayFromMmapEpoch) {
   const serve::ServeFixture& fx = fixture();
   const std::string path = write_temp(fx.artifact, "pinned");
@@ -201,7 +233,7 @@ TEST(ArtifactV2, PinnedStreamSurvivesSwapAwayFromMmapEpoch) {
   const std::uint64_t epoch0 = server.epoch();
 
   // Pick a doc the original database matches, so the verdict proves the
-  // pinned tables were actually walked.
+  // pinned database was actually scanned.
   const serve::CorpusDoc* target = nullptr;
   {
     engine::Scratch scratch;
@@ -221,7 +253,7 @@ TEST(ArtifactV2, PinnedStreamSurvivesSwapAwayFromMmapEpoch) {
             serve::RequestStatus::kOk);
 
   // Swap the serving database away: the server drops its reference to the
-  // mmap epoch; only the pinned stream still holds it.
+  // first epoch; only the pinned stream still holds it.
   std::istringstream art(fx.swap_artifact);
   ASSERT_TRUE(server.deploy_artifact(art).accepted);
 

@@ -4,7 +4,9 @@
 //     byte-identical to Scanner::scan_brute_force (per-signature search,
 //     no shared prefilter) on a kitgen corpus, and first-event semantics
 //     must equal the brute-force first match, one-shot and under every
-//     chunking of the streamed path;
+//     chunking of the streamed path; the shared prefilter's candidate
+//     sets equal a per-literal find over a 10,000-signature database,
+//     one-shot, in every chunking and at every split position;
 //   * scratch recycling — a Scratch reused across scans, streams and even
 //     databases must produce exactly the events a fresh one does;
 //   * zero-allocation steady state — with a warm Scratch, engine::scan
@@ -232,9 +234,68 @@ TEST(EngineOracle, EverySplitPositionOfOneSampleMatchesOneShot) {
   }
 }
 
+// The prefilter's promise, checked against the database's own
+// registrations: every entry whose required literal occurs in `text`
+// (std::string_view::find) plus every entry without one, ascending.
+std::vector<std::size_t> per_literal_candidates(const Database& db,
+                                                std::string_view text) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    const std::string& lit = db.pattern(i).required_literal();
+    if (lit.empty() || text.find(lit) != std::string_view::npos) {
+      out.push_back(i);
+    }
+  }
+  return out;
+}
+
+TEST(EngineOracle, CandidatesEqualPerLiteralFindOnTenThousandSignatures) {
+  const auto corpus = kitgen_corpus();
+  Rng rng(0x10000);
+  std::vector<Database::Spec> specs;
+  for (std::size_t i = 0; specs.size() < 10000; ++i) {
+    const std::string& donor = corpus[i % corpus.size()];
+    if (donor.size() < 96) continue;
+    const std::size_t len = 16 + rng.index(24);
+    const std::size_t at = rng.index(donor.size() - len);
+    specs.push_back({"sig" + std::to_string(specs.size()), "T",
+                     match::Pattern::escape(donor.substr(at, len)) +
+                         "[0-9a-zA-Z]{0,8}"});
+  }
+  specs.push_back({"fallback", "none", "zq[0-9]{3}zq"});
+  const Database db = Database::compile(specs);
+  const match::LiteralPrefilter& pf = db.prefilter();
+  ASSERT_TRUE(pf.teddy_active());
+
+  match::StreamingMatcher stream(pf);
+  for (const std::string& text : corpus) {
+    const auto expect = per_literal_candidates(db, text);
+    ASSERT_EQ(pf.candidates(text), expect);
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{7}, std::size_t{4096}, text.size()}) {
+      stream.reset();
+      for (std::size_t at = 0; at < text.size();
+           at += std::max<std::size_t>(chunk, 1)) {
+        stream.feed(std::string_view(text).substr(at, chunk));
+      }
+      ASSERT_EQ(stream.finish(), expect) << "chunk " << chunk;
+    }
+  }
+  // Every split position of a window dense with literal occurrences.
+  const std::string_view window = std::string_view(corpus.front()).substr(0, 400);
+  const auto expect = per_literal_candidates(db, window);
+  ASSERT_GT(expect.size(), 10u);
+  for (std::size_t split = 0; split <= window.size(); ++split) {
+    stream.reset();
+    stream.feed(window.substr(0, split));
+    stream.feed(window.substr(split));
+    ASSERT_EQ(stream.finish(), expect) << "split " << split;
+  }
+}
+
 // Pre-redesign SignatureBundle::match semantics: first confirmed candidate
 // in ascending index order. The engine must agree with a from-artifact
-// database as well (release automaton, no per-process rebuild).
+// database as well (verified artifact, compiled from its signatures).
 TEST(EngineOracle, ArtifactDatabaseAgreesWithCompiledDatabase) {
   const auto corpus = kitgen_corpus();
   const auto sigs = corpus_signatures(corpus);

@@ -11,22 +11,32 @@
 //     declared sizes — must map to the documented taxonomy classes
 //     (ArtifactError for malformed, ResourceError for implausible
 //     sizes).
+//   * crafted registrations — well-formed, correctly checksummed
+//     artifacts whose prefilter registers ids that are not the signature
+//     indices: cold starts must scan exactly like a compilation of the
+//     embedded signatures, and lint must flag the shipped blob.
 //   * committed-corpus replay — every seed and regression input under
 //     fuzz/ (KIZZLE_FUZZ_DIR) is replayed through its loader on every
 //     ctest run, so fuzzing findings stay fixed forever.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analyze/analyze.h"
 #include "core/sigdb.h"
+#include "engine/engine.h"
 #include "match/prefilter.h"
 #include "support/errors.h"
+#include "support/mapped_file.h"
 #include "text/normalize.h"
 #include "unpack/unpackers.h"
 
@@ -205,6 +215,91 @@ TEST(HostileInput, TypedErrorsShareTheCommonBase) {
   EXPECT_THROW(load_artifact_bytes("KZBUNDLEgarbage"), Error);
   EXPECT_THROW(load_artifact_bytes("KZBUNDLEgarbage"), std::runtime_error);
   EXPECT_THROW(load_prefilter_bytes("XXXX"), Error);
+}
+
+// ------------------ shipped registrations are derived ------------------
+
+// A well-formed artifact over sample_signatures() whose prefilter
+// registers signature 0's literal under `id0` and signature 1's under
+// `id1` (save_artifact only checks the registration count). Every
+// checksum is consistent and the tables are the compilation of those
+// registrations, so only deriving the scan state from the embedded
+// signatures catches it.
+std::string artifact_with_registrations(std::size_t id0, std::size_t id1) {
+  match::LiteralPrefilter crafted;
+  crafted.add(id0, "documentwriteunescape");
+  crafted.add(id1, "evalstringfromcharcode");
+  crafted.build();
+  std::ostringstream os;
+  core::save_artifact(os, sample_signatures(), &crafted);
+  return os.str();
+}
+
+// Every event of a one-shot scan and of a two-chunk stream, in order.
+std::vector<std::size_t> verdicts(const engine::Database& db,
+                                  const std::string& text) {
+  std::vector<std::size_t> hits;
+  const auto collect = [&hits](const engine::MatchEvent& e) {
+    hits.push_back(e.sig_index);
+    return engine::ScanDecision::Continue;
+  };
+  engine::Scratch scratch;
+  engine::scan(db, text, scratch, collect);
+  hits.push_back(SIZE_MAX);  // one-shot / stream separator
+  engine::Stream stream = engine::open_stream(db, scratch);
+  stream.feed(std::string_view(text).substr(0, text.size() / 2));
+  stream.feed(std::string_view(text).substr(text.size() / 2));
+  stream.finish(collect);
+  return hits;
+}
+
+void expect_cold_start_derives_registrations(const std::string& bytes,
+                                             const std::string& tag) {
+  const std::vector<std::string> texts = {
+      "xx documentwriteunescape3f yy", "evalstringfromcharcode(1)",
+      "documentwriteunescapeab;evalstringfromcharcode", "nothing here"};
+  const engine::Database reference =
+      engine::Database::compile(sample_signatures());
+  ASSERT_EQ(verdicts(reference, texts[2]),
+            (std::vector<std::size_t>{0, 1, SIZE_MAX, 0, 1}));
+
+  std::istringstream is(bytes);
+  const engine::Database streamed = engine::Database::from_artifact(is);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("kizzle_hostile_" + tag + "_" + std::to_string(::getpid()) + ".kpf"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  const engine::Database mapped = engine::Database::from_artifact(
+      std::make_shared<const support::MappedFile>(
+          support::MappedFile::open(path)));
+  std::remove(path.c_str());
+
+  for (const std::string& text : texts) {
+    const auto expect = verdicts(reference, text);
+    EXPECT_EQ(verdicts(streamed, text), expect) << tag << " istream: " << text;
+    EXPECT_EQ(verdicts(mapped, text), expect) << tag << " mmap: " << text;
+  }
+
+  std::istringstream lint_in(bytes);
+  const analyze::Report report = analyze::analyze_artifact(lint_in);
+  EXPECT_EQ(report.count(analyze::Check::kArtifactMismatch), 1u) << tag;
+  EXPECT_EQ(report.errors(), 1u) << tag;
+}
+
+TEST(HostileInput, CraftedOutOfRangeRegistrationIsNotTrusted) {
+  // Ids {0, 5} for two signatures: an id past the signature list.
+  expect_cold_start_derives_registrations(artifact_with_registrations(0, 5),
+                                          "out_of_range");
+}
+
+TEST(HostileInput, CraftedDuplicateRegistrationIsNotTrusted) {
+  // Ids {0, 0}: signature 1 has no registration of its own.
+  expect_cold_start_derives_registrations(artifact_with_registrations(0, 0),
+                                          "duplicate");
 }
 
 // ------------------------- corpus replay -------------------------

@@ -1,12 +1,12 @@
-// Streaming scan + persistent automaton tests (the deployment-channel
-// tentpole): StreamingMatcher must be byte-identical to one-shot
-// candidates() over every chunking of a corpus, serialize()/load() must
-// round-trip to an automaton with identical output, and the bundle
-// artifact must drive SignatureBundle to identical verdicts without a
-// per-process rebuild.
+// Streaming scan + persistence tests (the deployment-channel tentpole):
+// StreamingMatcher must be byte-identical to one-shot candidates() over
+// every chunking of a corpus, serialize()/load() must round-trip to a
+// prefilter with identical output and identical serialized bytes, and
+// the bundle artifact must drive SignatureBundle to identical verdicts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -157,6 +157,9 @@ TEST(PrefilterSerialization, RoundTripIsByteIdenticalOnFullCorpus) {
   std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
   built.serialize(blob);
   const LiteralPrefilter loaded = LiteralPrefilter::load(blob);
+  std::stringstream again(std::ios::in | std::ios::out | std::ios::binary);
+  loaded.serialize(again);
+  EXPECT_TRUE(again.str() == blob.str()) << "re-serialized bytes differ";
 
   EXPECT_EQ(loaded.id_count(), built.id_count());
   EXPECT_EQ(loaded.fallback_count(), built.fallback_count());
@@ -164,7 +167,7 @@ TEST(PrefilterSerialization, RoundTripIsByteIdenticalOnFullCorpus) {
   for (const std::string& text : corpus) {
     EXPECT_EQ(loaded.candidates(text), built.candidates(text));
   }
-  // And chunked streaming over the loaded automaton agrees too.
+  // And chunked streaming over the loaded prefilter agrees too.
   for (const std::string& text : corpus) {
     StreamingMatcher m(loaded);
     for (std::size_t at = 0; at < text.size(); at += 7) {
@@ -282,16 +285,19 @@ TEST(BundleArtifact, RoundTripPreservesSignaturesAndPrefilter) {
     EXPECT_EQ(loaded.signatures[i].issued_day, sigs[i].issued_day);
     EXPECT_EQ(loaded.signatures[i].token_length, sigs[i].token_length);
   }
-  EXPECT_EQ(loaded.prefilter.id_count(), sigs.size());
-
-  // The loaded automaton's candidates are byte-identical to a fresh build.
+  // The shipped prefilter blob, loaded on its own, has one id per
+  // signature, and its candidates are byte-identical to a fresh build.
+  const std::string bytes = blob.str();
+  const match::LiteralPrefilter shipped = match::LiteralPrefilter::load(
+      std::as_bytes(std::span<const char>(bytes))
+          .subspan(loaded.prefilter_offset));
+  EXPECT_EQ(shipped.id_count(), sigs.size());
   SignatureBundle fresh(sigs);
   const std::vector<std::string> texts = {
       "xx landingpage42", "xx fromCharCode yy", "123abc456", "substrabc()",
       "nothing", ""};
   for (const std::string& t : texts) {
-    EXPECT_EQ(loaded.prefilter.candidates(t), fresh.prefilter().candidates(t))
-        << t;
+    EXPECT_EQ(shipped.candidates(t), fresh.prefilter().candidates(t)) << t;
   }
 }
 

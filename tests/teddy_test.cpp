@@ -4,16 +4,16 @@
 //   * kernel agreement — every compiled-in Impl (scalar shift-or, SSSE3,
 //     AVX2 where the host supports them) emits byte-identical Hit
 //     sequences on random and adversarial texts;
-//   * candidate equivalence — a Teddy-routed LiteralPrefilter returns
-//     byte-identical candidate sets to the forced automaton walk: literal
-//     lengths 1..8 (short literals now compile into their own K=1/K=2
-//     shards instead of disqualifying the set), mixed short/long sets,
-//     5k–20k-literal sets spanning multiple shards, Fat (16-bucket)
-//     versus 8-bucket plans, shared-prefix bucket collisions, occurrences
-//     at position 0 and at the last possible position, and the full
-//     kitgen corpus;
-//   * streaming equivalence — StreamingMatcher over the Teddy path equals
-//     one-shot candidates() for every split position and every chunking;
+//   * candidate equivalence — a LiteralPrefilter returns exactly the
+//     brute-force candidate set (per-literal std::string_view::find,
+//     merged with the fallback ids): literal lengths 1..8 (short literals
+//     compile into their own K=1/K=2 shards), mixed short/long sets,
+//     5k–20k-literal sets spanning multiple shards, Fat (16-bucket) versus
+//     8-bucket plans, shared-prefix bucket collisions, occurrences at
+//     position 0 and at the last possible position, the full kitgen
+//     corpus, and the dense-shard routes (hybrid and all-dense);
+//   * streaming equivalence — StreamingMatcher equals the same oracle for
+//     every split position and every chunking;
 //   * thread safety — one shared plan scanned from many threads (the tsan
 //     CI job runs this suite).
 #include <gtest/gtest.h>
@@ -45,28 +45,68 @@ std::vector<teddy::Impl> available_impls() {
   return impls;
 }
 
-// Builds the same registration set twice: one prefilter free to route
-// through Teddy, one forced onto the automaton walk.
-struct Pair {
-  LiteralPrefilter teddy;
-  LiteralPrefilter automaton;
-};
+using Registrations = std::vector<std::pair<std::size_t, std::string>>;
 
-Pair build_pair(const std::vector<std::pair<std::size_t, std::string>>& regs) {
-  Pair p;
+// The brute-force oracle: every id whose literal occurs in `text` (one
+// std::string_view::find per registration) plus every fallback id (empty
+// literal), sorted and deduplicated — exactly what candidates() promises.
+std::vector<std::size_t> brute_force_candidates(const Registrations& regs,
+                                                std::string_view text) {
+  std::vector<std::size_t> out;
   for (const auto& [id, lit] : regs) {
-    p.teddy.add(id, lit);
-    p.automaton.add(id, lit);
+    if (lit.empty() || text.find(lit) != std::string_view::npos) {
+      out.push_back(id);
+    }
   }
-  p.teddy.build();
-  p.automaton.build();
-  p.automaton.set_first_stage(FirstStage::kAutomaton);
-  return p;
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
-void expect_equal_candidates(const Pair& p, std::string_view text) {
-  EXPECT_EQ(p.teddy.candidates(text), p.automaton.candidates(text))
-      << "text: " << text;
+// A built prefilter next to the registrations it was built from.
+struct Oracle {
+  Registrations regs;
+  LiteralPrefilter pf;
+
+  std::vector<std::size_t> expect(std::string_view text) const {
+    return brute_force_candidates(regs, text);
+  }
+};
+
+Oracle build_oracle(Registrations regs) {
+  Oracle o;
+  o.regs = std::move(regs);
+  for (const auto& [id, lit] : o.regs) o.pf.add(id, lit);
+  o.pf.build();
+  return o;
+}
+
+void expect_brute_force(const Oracle& o, std::string_view text) {
+  EXPECT_EQ(o.pf.candidates(text), o.expect(text)) << "text: " << text;
+}
+
+// Streams `text` through a StreamingMatcher over `o.pf` at every split
+// position (two feeds; every `split_stride`-th position) and in 1-, 7- and
+// 4096-byte chunks and one whole feed, expecting the brute-force set each
+// time.
+void expect_streaming_brute_force(const Oracle& o, std::string_view text,
+                                  std::size_t split_stride = 1) {
+  const std::vector<std::size_t> expect = o.expect(text);
+  StreamingMatcher stream(o.pf);
+  for (std::size_t split = 0; split <= text.size(); split += split_stride) {
+    stream.reset();
+    stream.feed(text.substr(0, split));
+    stream.feed(text.substr(split));
+    ASSERT_EQ(stream.finish(), expect) << "split " << split;
+  }
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{4096}, text.size()}) {
+    stream.reset();
+    for (std::size_t at = 0; at < text.size(); at += std::max<std::size_t>(chunk, 1)) {
+      stream.feed(text.substr(at, chunk));
+    }
+    ASSERT_EQ(stream.finish(), expect) << "chunk " << chunk;
+  }
 }
 
 // ----------------------------- kernel unit -----------------------------
@@ -265,9 +305,9 @@ TEST(TeddyPrefilter, EveryLiteralLengthOneToEight) {
   Rng rng(0x1E77);
   // One registration set per minimum length: every set — including ones
   // with 1- and 2-byte literals — routes through the sharded Teddy first
-  // stage and must agree with the automaton byte-for-byte.
+  // stage and must agree with brute force byte-for-byte.
   for (std::size_t min_len = 1; min_len <= 8; ++min_len) {
-    std::vector<std::pair<std::size_t, std::string>> regs;
+    Registrations regs;
     std::size_t id = 0;
     for (std::size_t len = min_len; len <= 8; ++len) {
       regs.emplace_back(id++, std::string(len, 'a'));          // runs
@@ -276,15 +316,15 @@ TEST(TeddyPrefilter, EveryLiteralLengthOneToEight) {
       regs.emplace_back(id++, edge);
     }
     regs.emplace_back(id++, "");  // fallback rider
-    const Pair p = build_pair(regs);
-    EXPECT_TRUE(p.teddy.teddy_active()) << min_len;
+    const Oracle o = build_oracle(regs);
+    EXPECT_TRUE(o.pf.teddy_active()) << min_len;
 
     std::vector<std::string> texts = {"", "a", "aaaaaaaaaa", "Zyyyyyyy",
                                       "xyzabcxyzabc"};
     for (int i = 0; i < 24; ++i) {
       texts.push_back(rng.string_over("abcxyzZ", 3 + rng.index(60)));
     }
-    for (const std::string& t : texts) expect_equal_candidates(p, t);
+    for (const std::string& t : texts) expect_brute_force(o, t);
   }
 }
 
@@ -292,62 +332,61 @@ TEST(TeddyPrefilter, SharedPrefixBucketCollisions) {
   // Dozens of literals sharing one 4-byte prefix: they land in the same
   // bucket(s), every occurrence of the prefix lights the bucket, and only
   // exact confirmation may separate them.
-  std::vector<std::pair<std::size_t, std::string>> regs;
+  Registrations regs;
   for (std::size_t i = 0; i < 40; ++i) {
     regs.emplace_back(i, "pref" + std::to_string(i));
   }
   regs.emplace_back(100, "prefix_shared_long_tail");
   regs.emplace_back(101, "pref");  // the bare prefix itself
-  const Pair p = build_pair(regs);
-  ASSERT_TRUE(p.teddy.teddy_active());
+  const Oracle o = build_oracle(regs);
+  ASSERT_TRUE(o.pf.teddy_active());
 
-  expect_equal_candidates(p, "pref");
-  expect_equal_candidates(p, "pref1");
-  expect_equal_candidates(p, "pref39 pref12 pref");
-  expect_equal_candidates(p, "prefix_shared_long_tail");
-  expect_equal_candidates(p, "prefix_shared_long_tai");  // one byte short
-  expect_equal_candidates(p, "xxprefxx pref3 pref33");
-  EXPECT_EQ(p.teddy.candidates("pref7"),
-            (std::vector<std::size_t>{7, 101}));
+  expect_brute_force(o, "pref");
+  expect_brute_force(o, "pref1");
+  expect_brute_force(o, "pref39 pref12 pref");
+  expect_brute_force(o, "prefix_shared_long_tail");
+  expect_brute_force(o, "prefix_shared_long_tai");  // one byte short
+  expect_brute_force(o, "xxprefxx pref3 pref33");
+  EXPECT_EQ(o.pf.candidates("pref7"), (std::vector<std::size_t>{7, 101}));
 }
 
 TEST(TeddyPrefilter, BoundaryPositions) {
-  const Pair p = build_pair({{0, "needle"}, {1, "end"}, {2, "xyz"}});
-  ASSERT_TRUE(p.teddy.teddy_active());
+  const Oracle o = build_oracle({{0, "needle"}, {1, "end"}, {2, "xyz"}});
+  ASSERT_TRUE(o.pf.teddy_active());
 
   // Occurrence at position 0.
-  expect_equal_candidates(p, "needle");
-  expect_equal_candidates(p, "needle rest of text");
-  EXPECT_EQ(p.teddy.candidates("needle"), (std::vector<std::size_t>{0}));
+  expect_brute_force(o, "needle");
+  expect_brute_force(o, "needle rest of text");
+  EXPECT_EQ(o.pf.candidates("needle"), (std::vector<std::size_t>{0}));
   // Occurrence ending exactly at the last byte, across block-relative
   // alignments (the padded-tail path of the vector kernels).
   for (std::size_t pad = 0; pad < 40; ++pad) {
     const std::string tail_hit = std::string(pad, '.') + "end";
-    expect_equal_candidates(p, tail_hit);
-    EXPECT_EQ(p.teddy.candidates(tail_hit), (std::vector<std::size_t>{1}));
+    expect_brute_force(o, tail_hit);
+    EXPECT_EQ(o.pf.candidates(tail_hit), (std::vector<std::size_t>{1}));
   }
   // Text shorter than any literal / shorter than the prefix window.
-  expect_equal_candidates(p, "");
-  expect_equal_candidates(p, "en");
-  expect_equal_candidates(p, "ne");
+  expect_brute_force(o, "");
+  expect_brute_force(o, "en");
+  expect_brute_force(o, "ne");
   // Truncated occurrence at the very end (prefix present, tail cut off).
-  expect_equal_candidates(p, "....needl");
-  expect_equal_candidates(p, "....nee");
+  expect_brute_force(o, "....needl");
+  expect_brute_force(o, "....nee");
 }
 
 TEST(TeddyPrefilter, MixedShortAndLongLiterals) {
   // 1–2-byte literals ride in their own shards next to long ones; the
-  // candidate set must stay byte-identical to the automaton, including
-  // texts where a short literal is a prefix/suffix of a long one.
-  const Pair p = build_pair({{0, "x"},
-                             {1, "ab"},
-                             {2, "abc"},
-                             {3, "abcdef"},
-                             {4, "fromCharCode"},
-                             {5, "f"},
-                             {6, ""}});
-  ASSERT_TRUE(p.teddy.teddy_active());
-  ASSERT_EQ(p.teddy.teddy_plans()->shard_count(), 4u);
+  // candidate set must stay exact, including texts where a short literal
+  // is a prefix/suffix of a long one.
+  const Oracle o = build_oracle({{0, "x"},
+                                 {1, "ab"},
+                                 {2, "abc"},
+                                 {3, "abcdef"},
+                                 {4, "fromCharCode"},
+                                 {5, "f"},
+                                 {6, ""}});
+  ASSERT_TRUE(o.pf.teddy_active());
+  ASSERT_EQ(o.pf.teddy_plans()->shard_count(), 4u);
 
   Rng rng(0x515);
   std::vector<std::string> texts = {"",       "x",         "ab",
@@ -357,90 +396,83 @@ TEST(TeddyPrefilter, MixedShortAndLongLiterals) {
   for (int i = 0; i < 48; ++i) {
     texts.push_back(rng.string_over("abcdefxromCh.", rng.index(80)));
   }
-  for (const std::string& t : texts) expect_equal_candidates(p, t);
+  for (const std::string& t : texts) expect_brute_force(o, t);
+}
+
+// `n_lits` random 5–8-byte literals over a six-letter alphabet: small
+// enough an alphabet that random texts hit hundreds of them.
+Registrations random_literal_set(std::size_t n_lits, Rng& rng) {
+  Registrations regs;
+  for (std::size_t i = 0; i < n_lits; ++i) {
+    regs.emplace_back(i, rng.string_over("abcdef", 5 + rng.index(4)));
+  }
+  return regs;
 }
 
 TEST(TeddyPrefilter, BigSetsSpanMultipleShardsAndStayExact) {
-  // 5k–20k literals: well past the old 4096-literal ceiling, split across
+  // 5k–20k literals: well past a single 4096-literal plan, split across
   // shards (the 20k set also crosses the per-shard capacity, and its
-  // shards run Fat). Literals are short strings over a small alphabet so
-  // the automaton baseline's dense goto table stays reasonably sized.
+  // shards run Fat).
   Rng rng(0xB16);
   for (const std::size_t n_lits : {std::size_t{5000}, std::size_t{20000}}) {
-    std::vector<std::pair<std::size_t, std::string>> regs;
-    std::size_t id = 0;
-    for (std::size_t i = 0; i < n_lits; ++i) {
-      regs.emplace_back(id++, rng.string_over("abcdef", 5 + rng.index(4)));
-    }
-    const Pair p = build_pair(regs);
-    ASSERT_TRUE(p.teddy.teddy_active()) << n_lits;
-    const teddy::PlanSet* plans = p.teddy.teddy_plans();
+    const Oracle o = build_oracle(random_literal_set(n_lits, rng));
+    ASSERT_TRUE(o.pf.teddy_active()) << n_lits;
+    const teddy::PlanSet* plans = o.pf.teddy_plans();
     ASSERT_NE(plans, nullptr);
     EXPECT_GE(plans->shard_count(),
               n_lits > teddy::Plan::kShardMaxLiterals ? 2u : 1u);
 
     for (int i = 0; i < 12; ++i) {
       const std::string t = rng.string_over("abcdef", 200 + rng.index(800));
-      expect_equal_candidates(p, t);
+      expect_brute_force(o, t);
     }
-    expect_equal_candidates(p, "");
-    expect_equal_candidates(p, regs.front().second);
-    expect_equal_candidates(p, regs.back().second);
+    expect_brute_force(o, "");
+    expect_brute_force(o, o.regs.front().second);
+    expect_brute_force(o, o.regs.back().second);
   }
 }
 
+TEST(TeddyStreaming, TenThousandLiteralsEverySplitAndChunking) {
+  Rng rng(0x10C);
+  const Oracle o = build_oracle(random_literal_set(10000, rng));
+  ASSERT_TRUE(o.pf.teddy_active());
+  const std::string text = rng.string_over("abcdef", 600);
+  ASSERT_GT(o.expect(text).size(), 100u) << "oracle text hits too little";
+  expect_streaming_brute_force(o, text);
+}
+
 TEST(TeddyPrefilter, ScanStatsReportRoutingAndCounts) {
-  const Pair p = build_pair({{0, "x"}, {1, "needle"}, {2, ""}});
+  const Oracle o = build_oracle({{0, "x"}, {1, "needle"}, {2, ""}});
   std::vector<std::size_t> out;
   teddy::HitBuffer hits;
   PrefilterStats stats;
 
-  p.teddy.candidates_into("a needle in x", out, hits, &stats);
+  o.pf.candidates_into("a needle in x", out, hits, &stats);
   EXPECT_EQ(stats.fallback, PrefilterFallback::kNone);
   EXPECT_EQ(stats.shards_scanned, 2u);  // K=1 and K=4 length classes
   EXPECT_GE(stats.first_stage_hits, 2u);
   EXPECT_EQ(stats.literal_survivors, 2u);
+  EXPECT_EQ(stats.dense_shards, 0u);
 
-  p.teddy.candidates_into("nothing here", out, hits, &stats);
+  o.pf.candidates_into("nothing here", out, hits, &stats);
   EXPECT_EQ(stats.literal_survivors, 0u);
 
-  p.automaton.candidates_into("a needle in x", out, hits, &stats);
-  EXPECT_EQ(stats.fallback, PrefilterFallback::kForcedAutomaton);
-  EXPECT_EQ(stats.first_stage_hits, 0u);
-  EXPECT_EQ(stats.literal_survivors, 2u);
+  const Oracle fallback_only = build_oracle({{0, ""}, {1, ""}});
+  fallback_only.pf.candidates_into("a needle in x", out, hits, &stats);
+  EXPECT_EQ(stats.fallback, PrefilterFallback::kNoLiterals);
+  EXPECT_EQ(out, (std::vector<std::size_t>{0, 1}));
 }
 
 // ---------------------------- streaming oracle ----------------------------
 
 TEST(TeddyStreaming, EverySplitPositionMatchesOneShot) {
-  const Pair p = build_pair(
+  const Oracle o = build_oracle(
       {{0, "needle"}, {1, "spanner"}, {2, "xyz"}, {3, ""}, {4, "abcd"}});
-  ASSERT_TRUE(p.teddy.teddy_active());
+  ASSERT_TRUE(o.pf.teddy_active());
   const std::string text =
       "xx needle yy spanner zz abcd xyzxyz needlespanner abcdabcd";
-  const auto expect = p.teddy.candidates(text);
-  ASSERT_EQ(expect, p.automaton.candidates(text));
-
-  for (std::size_t split = 0; split <= text.size(); ++split) {
-    StreamingMatcher teddy_stream(p.teddy);
-    teddy_stream.feed(std::string_view(text).substr(0, split));
-    teddy_stream.feed(std::string_view(text).substr(split));
-    EXPECT_EQ(teddy_stream.finish(), expect) << "split " << split;
-
-    StreamingMatcher automaton_stream(p.automaton);
-    automaton_stream.feed(std::string_view(text).substr(0, split));
-    automaton_stream.feed(std::string_view(text).substr(split));
-    EXPECT_EQ(automaton_stream.finish(), expect) << "split " << split;
-  }
-
-  // Byte-at-a-time and small odd chunks.
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
-    StreamingMatcher stream(p.teddy);
-    for (std::size_t at = 0; at < text.size(); at += chunk) {
-      stream.feed(std::string_view(text).substr(at, chunk));
-    }
-    EXPECT_EQ(stream.finish(), expect) << "chunk " << chunk;
-  }
+  ASSERT_EQ(o.pf.candidates(text), o.expect(text));
+  expect_streaming_brute_force(o, text);
 }
 
 TEST(TeddyStreaming, EverySplitAcrossShardBoundaries) {
@@ -448,34 +480,23 @@ TEST(TeddyStreaming, EverySplitAcrossShardBoundaries) {
   // with every split position: occurrences of every class must survive the
   // chunk boundary (the carried tail is sized by the LONGEST literal of
   // the whole set, not of any one shard).
-  const Pair p = build_pair({{0, "k"},
-                             {1, "qz"},
-                             {2, "abc"},
-                             {3, "straddlers"},
-                             {4, "wxyz"},
-                             {5, ""}});
-  ASSERT_TRUE(p.teddy.teddy_active());
-  ASSERT_EQ(p.teddy.teddy_plans()->shard_count(), 4u);
+  const Oracle o = build_oracle({{0, "k"},
+                                 {1, "qz"},
+                                 {2, "abc"},
+                                 {3, "straddlers"},
+                                 {4, "wxyz"},
+                                 {5, ""}});
+  ASSERT_TRUE(o.pf.teddy_active());
+  ASSERT_EQ(o.pf.teddy_plans()->shard_count(), 4u);
   const std::string text = "..k..qz..abc..straddlers..wxyz..qzk..";
-  const auto expect = p.teddy.candidates(text);
-  ASSERT_EQ(expect, p.automaton.candidates(text));
-  ASSERT_EQ(expect, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
-
-  for (std::size_t split = 0; split <= text.size(); ++split) {
-    StreamingMatcher stream(p.teddy);
-    stream.feed(std::string_view(text).substr(0, split));
-    stream.feed(std::string_view(text).substr(split));
-    EXPECT_EQ(stream.finish(), expect) << "split " << split;
-  }
-  // Byte-at-a-time: every literal crosses a feed boundary.
-  StreamingMatcher stream(p.teddy);
-  for (const char c : text) stream.feed(std::string_view(&c, 1));
-  EXPECT_EQ(stream.finish(), expect);
+  ASSERT_EQ(o.expect(text), (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  ASSERT_EQ(o.pf.candidates(text), o.expect(text));
+  expect_streaming_brute_force(o, text);
 }
 
 TEST(TeddyStreaming, ResetAndRebindClearTheCarriedWindow) {
-  const Pair p = build_pair({{0, "straddle"}, {1, "abc"}});
-  StreamingMatcher stream(p.teddy);
+  const Oracle o = build_oracle({{0, "straddle"}, {1, "abc"}});
+  StreamingMatcher stream(o.pf);
   stream.feed("strad");
   stream.reset();
   stream.feed("dle");  // must NOT complete "straddle" across the reset
@@ -483,7 +504,7 @@ TEST(TeddyStreaming, ResetAndRebindClearTheCarriedWindow) {
 
   stream.reset();
   stream.feed("strad");
-  stream.rebind(p.teddy);
+  stream.rebind(o.pf);
   stream.feed("dle");
   EXPECT_TRUE(stream.finish().empty());
 
@@ -523,10 +544,9 @@ std::vector<std::string> kitgen_corpus() {
 // Deployed-database-shaped registrations: literal chunks cut from the
 // corpus via the real signature-compilation path (Pattern::escape +
 // required_literal), most from other samples than the one scanned.
-std::vector<std::pair<std::size_t, std::string>> corpus_registrations(
-    const std::vector<std::string>& corpus) {
+Registrations corpus_registrations(const std::vector<std::string>& corpus) {
   Rng rng(0xBEEF);
-  std::vector<std::pair<std::size_t, std::string>> regs;
+  Registrations regs;
   std::size_t id = 0;
   for (const std::string& text : corpus) {
     if (text.size() < 128) continue;
@@ -544,57 +564,35 @@ std::vector<std::pair<std::size_t, std::string>> corpus_registrations(
 
 TEST(TeddyPrefilter, KitgenCorpusOneShotEquivalence) {
   const auto corpus = kitgen_corpus();
-  const Pair p = build_pair(corpus_registrations(corpus));
-  ASSERT_TRUE(p.teddy.teddy_active());
-  ASSERT_FALSE(p.automaton.teddy_active());
+  const Oracle o = build_oracle(corpus_registrations(corpus));
+  ASSERT_TRUE(o.pf.teddy_active());
   for (const std::string& sample : corpus) {
-    EXPECT_EQ(p.teddy.candidates(sample), p.automaton.candidates(sample));
+    const auto expect = o.expect(sample);
+    EXPECT_EQ(o.pf.candidates(sample), expect);
+    if (sample.size() >= 128) EXPECT_GT(expect.size(), 1u);
   }
 }
 
 TEST(TeddyStreaming, KitgenCorpusEveryChunking) {
   const auto corpus = kitgen_corpus();
-  const Pair p = build_pair(corpus_registrations(corpus));
-  ASSERT_TRUE(p.teddy.teddy_active());
-
+  const Oracle o = build_oracle(corpus_registrations(corpus));
+  ASSERT_TRUE(o.pf.teddy_active());
+  // Every chunking of every sample; every split position of the first.
   for (const std::string& sample : corpus) {
-    const auto expect = p.automaton.candidates(sample);
-    for (const std::size_t chunk :
-         {std::size_t{1}, std::size_t{7}, std::size_t{4096}, sample.size()}) {
-      StreamingMatcher stream(p.teddy);
-      if (chunk == 0) {
-        stream.feed(sample);
-      } else {
-        for (std::size_t at = 0; at < sample.size(); at += chunk) {
-          stream.feed(std::string_view(sample).substr(at, chunk));
-        }
-      }
-      EXPECT_EQ(stream.finish(), expect) << "chunk " << chunk;
-    }
+    expect_streaming_brute_force(o, sample, std::max<std::size_t>(
+                                                1, sample.size()));
   }
-
-  // Every split position of one full sample.
-  const std::string& sample = corpus.front();
-  const auto expect = p.automaton.candidates(sample);
-  StreamingMatcher stream(p.teddy);
-  for (std::size_t split = 0; split <= sample.size(); ++split) {
-    stream.reset();
-    stream.feed(std::string_view(sample).substr(0, split));
-    stream.feed(std::string_view(sample).substr(split));
-    ASSERT_EQ(stream.finish(), expect) << "split " << split;
-  }
+  expect_streaming_brute_force(o, corpus.front());
 }
 
 // ------------------------------ concurrency ------------------------------
 
 TEST(TeddyPrefilter, ConcurrentScansOverOneSharedPlan) {
   const auto corpus = kitgen_corpus();
-  const Pair p = build_pair(corpus_registrations(corpus));
-  ASSERT_TRUE(p.teddy.teddy_active());
+  const Oracle o = build_oracle(corpus_registrations(corpus));
+  ASSERT_TRUE(o.pf.teddy_active());
   std::vector<std::vector<std::size_t>> expect;
-  for (const std::string& sample : corpus) {
-    expect.push_back(p.automaton.candidates(sample));
-  }
+  for (const std::string& sample : corpus) expect.push_back(o.expect(sample));
 
   std::vector<std::thread> workers;
   std::vector<int> mismatches(4, 0);
@@ -602,7 +600,7 @@ TEST(TeddyPrefilter, ConcurrentScansOverOneSharedPlan) {
     workers.emplace_back([&, w] {
       for (int round = 0; round < 8; ++round) {
         for (std::size_t i = 0; i < corpus.size(); ++i) {
-          if (p.teddy.candidates(corpus[i]) != expect[i]) ++mismatches[w];
+          if (o.pf.candidates(corpus[i]) != expect[i]) ++mismatches[w];
         }
       }
     });
@@ -613,129 +611,132 @@ TEST(TeddyPrefilter, ConcurrentScansOverOneSharedPlan) {
 
 // ----------------------------- dense routing -----------------------------
 
-// The bench's 512-short-literal set (BM_TeddyPrefilterShortLiterals/512):
+// The bench's short-literal sets (BM_TeddyPrefilterShortLiterals/<count>):
 // 1–2-byte alphanumerics admitting most common bytes into the K=1 shard's
-// shuffle mask. Routing is decided PER SHARD: the dense K=1 shard is
-// excised from the SIMD pass and its literals walk the dense-literal
-// sub-automaton, while the selective K=2 shard stays on Teddy — and
-// candidate sets stay byte-identical either way.
-TEST(TeddyPrefilter, DenseShardRoutesToSubAutomaton) {
+// shuffle mask.
+Registrations short_literal_set(std::size_t count) {
   constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
-  const auto short_set = [&](std::size_t count) {
-    std::vector<std::pair<std::size_t, std::string>> regs;
-    for (std::size_t i = 0; i < count; ++i) {
-      std::string lit;
-      lit.push_back(kAlpha[i % kAlpha.size()]);
-      if (i % 7 != 0) {
-        lit.push_back(kAlpha[(i / kAlpha.size()) % kAlpha.size()]);
-      }
-      regs.emplace_back(i, lit);
-    }
-    return regs;
-  };
-
-  // Hybrid: the whole-set estimate is past the threshold but only the
-  // single-byte shard is dense — one bad length class must not drag the
-  // whole database off the SIMD path.
-  const Pair hybrid = build_pair(short_set(512));
-  EXPECT_GT(hybrid.teddy.teddy_plans()->expected_hits_per_byte(),
-            kDenseRouteHitsPerByte);
-  EXPECT_FALSE(hybrid.teddy.teddy_dense());
-  EXPECT_TRUE(hybrid.teddy.teddy_active());
-  EXPECT_GT(hybrid.teddy.dense_shard_count(), 0u);
-  EXPECT_LT(hybrid.teddy.dense_shard_count(),
-            hybrid.teddy.teddy_plans()->shard_count());
-
-  // The routing decision is observable in scan stats and changes nothing
-  // about the candidate sets.
-  const std::string text = kitgen_corpus().front();
-  std::vector<std::size_t> out;
-  teddy::HitBuffer hits;
-  PrefilterStats stats;
-  hybrid.teddy.candidates_into(text, out, hits, &stats);
-  EXPECT_EQ(stats.fallback, PrefilterFallback::kNone);
-  EXPECT_EQ(stats.dense_shards, hybrid.teddy.dense_shard_count());
-  expect_equal_candidates(hybrid, text);
-
-  // A sparse fraction of the same generator keeps every shard on Teddy.
-  const Pair sparse = build_pair(short_set(64));
-  EXPECT_LE(sparse.teddy.teddy_plans()->expected_hits_per_byte(),
-            kDenseRouteHitsPerByte);
-  EXPECT_TRUE(sparse.teddy.teddy_active());
-  EXPECT_EQ(sparse.teddy.dense_shard_count(), 0u);
-  expect_equal_candidates(sparse, text);
-
-  // Density is derived state: a loaded artifact makes the same per-shard
-  // calls and routes identically.
-  std::stringstream bytes;
-  hybrid.teddy.serialize(bytes);
-  const LiteralPrefilter loaded = LiteralPrefilter::load(bytes);
-  EXPECT_FALSE(loaded.teddy_dense());
-  EXPECT_TRUE(loaded.teddy_active());
-  EXPECT_EQ(loaded.dense_shard_count(), hybrid.teddy.dense_shard_count());
-  EXPECT_EQ(loaded.dense_shard_flags(), hybrid.teddy.dense_shard_flags());
-  EXPECT_EQ(loaded.candidates(text), hybrid.automaton.candidates(text));
-}
-
-// When EVERY shard is dense (a single-byte-only set admits most common
-// bytes into its one shuffle mask), the sub-automaton would just duplicate
-// the main automaton — the scan takes the full automaton walk, exactly the
-// old all-or-nothing route.
-TEST(TeddyPrefilter, AllDenseSetRoutesToFullAutomaton) {
-  constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
-  std::vector<std::pair<std::size_t, std::string>> regs;
-  for (std::size_t i = 0; i < kAlpha.size(); ++i) {
-    regs.emplace_back(i, std::string(1, kAlpha[i]));
-  }
-  const Pair dense = build_pair(regs);
-  EXPECT_TRUE(dense.teddy.teddy_dense());
-  EXPECT_FALSE(dense.teddy.teddy_active());
-  EXPECT_EQ(dense.teddy.dense_shard_count(),
-            dense.teddy.teddy_plans()->shard_count());
-
-  const std::string text = kitgen_corpus().front();
-  std::vector<std::size_t> out;
-  teddy::HitBuffer hits;
-  PrefilterStats stats;
-  dense.teddy.candidates_into(text, out, hits, &stats);
-  EXPECT_EQ(stats.fallback, PrefilterFallback::kDenseLiterals);
-  EXPECT_EQ(stats.first_stage_hits, 0u);
-  expect_equal_candidates(dense, text);
-
-  std::stringstream bytes;
-  dense.teddy.serialize(bytes);
-  const LiteralPrefilter loaded = LiteralPrefilter::load(bytes);
-  EXPECT_TRUE(loaded.teddy_dense());
-  EXPECT_FALSE(loaded.teddy_active());
-  EXPECT_EQ(loaded.candidates(text), dense.automaton.candidates(text));
-}
-
-// Streaming over a hybrid-routed prefilter: the dense sub-automaton's DFA
-// state carries across chunk boundaries while the sparse shards batch
-// through the Teddy window. Every split position of a text that exercises
-// both routes must equal the one-shot candidate set.
-TEST(TeddyStreaming, HybridDenseRoutingEverySplit) {
-  constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
-  std::vector<std::pair<std::size_t, std::string>> regs;
-  for (std::size_t i = 0; i < 512; ++i) {
+  Registrations regs;
+  for (std::size_t i = 0; i < count; ++i) {
     std::string lit;
     lit.push_back(kAlpha[i % kAlpha.size()]);
     if (i % 7 != 0) lit.push_back(kAlpha[(i / kAlpha.size()) % kAlpha.size()]);
     regs.emplace_back(i, lit);
   }
-  const Pair p = build_pair(regs);
-  ASSERT_TRUE(p.teddy.teddy_active());
-  ASSERT_GT(p.teddy.dense_shard_count(), 0u);
+  return regs;
+}
 
-  const std::string text = kitgen_corpus().front().substr(0, 160);
-  const std::vector<std::size_t> expect = p.automaton.candidates(text);
-  StreamingMatcher m(p.teddy);
-  for (std::size_t split = 0; split <= text.size(); ++split) {
-    m.reset();
-    m.feed(std::string_view(text).substr(0, split));
-    m.feed(std::string_view(text).substr(split));
-    EXPECT_EQ(m.finish(), expect) << "split at " << split;
+// Every single-byte alphanumeric: one K=1 shard, past the threshold.
+Registrations all_dense_set() {
+  constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
+  Registrations regs;
+  for (std::size_t i = 0; i < kAlpha.size(); ++i) {
+    regs.emplace_back(i, std::string(1, kAlpha[i]));
   }
+  return regs;
+}
+
+// One-shot over the kitgen corpus, every split position of a 160-byte
+// window that exercises every route, and every chunking of a full sample.
+void expect_routes_exact(const Oracle& o) {
+  const auto corpus = kitgen_corpus();
+  for (const std::string& sample : corpus) expect_brute_force(o, sample);
+  expect_streaming_brute_force(o, std::string_view(corpus.front()).substr(0, 160));
+  expect_streaming_brute_force(o, corpus.front(), corpus.front().size());
+}
+
+// Routing is decided PER SHARD. At 512 literals the dense K=1 shard is
+// excised from the SIMD pass and its literals walk the dense-shard
+// sub-automaton, while the selective K=2 shard stays on Teddy (the hybrid
+// route); at 64 every shard stays on Teddy. Candidate sets equal brute
+// force either way.
+TEST(TeddyPrefilter, DenseShardRoutesToSubAutomaton) {
+  // Hybrid: the whole-set estimate is past the threshold but only the
+  // single-byte shard is dense — one bad length class must not drag the
+  // whole database off the SIMD path.
+  const Oracle hybrid = build_oracle(short_literal_set(512));
+  EXPECT_GT(hybrid.pf.teddy_plans()->expected_hits_per_byte(),
+            kDenseRouteHitsPerByte);
+  EXPECT_TRUE(hybrid.pf.teddy_active());
+  EXPECT_GT(hybrid.pf.dense_shard_count(), 0u);
+  EXPECT_LT(hybrid.pf.dense_shard_count(),
+            hybrid.pf.teddy_plans()->shard_count());
+
+  // The routing decision is observable in scan stats.
+  const std::string text = kitgen_corpus().front();
+  std::vector<std::size_t> out;
+  teddy::HitBuffer hits;
+  PrefilterStats stats;
+  hybrid.pf.candidates_into(text, out, hits, &stats);
+  EXPECT_EQ(stats.fallback, PrefilterFallback::kNone);
+  EXPECT_EQ(stats.dense_shards, hybrid.pf.dense_shard_count());
+  EXPECT_EQ(out, hybrid.expect(text));
+  expect_routes_exact(hybrid);
+
+  // A sparse fraction of the same generator keeps every shard on Teddy.
+  const Oracle sparse = build_oracle(short_literal_set(64));
+  EXPECT_LE(sparse.pf.teddy_plans()->expected_hits_per_byte(),
+            kDenseRouteHitsPerByte);
+  EXPECT_TRUE(sparse.pf.teddy_active());
+  EXPECT_EQ(sparse.pf.dense_shard_count(), 0u);
+  expect_routes_exact(sparse);
+
+  // Density is derived state: a loaded artifact makes the same per-shard
+  // calls and routes identically.
+  std::stringstream bytes;
+  hybrid.pf.serialize(bytes);
+  const LiteralPrefilter loaded = LiteralPrefilter::load(bytes);
+  EXPECT_TRUE(loaded.teddy_active());
+  EXPECT_EQ(loaded.dense_shard_count(), hybrid.pf.dense_shard_count());
+  EXPECT_EQ(loaded.dense_shard_flags(), hybrid.pf.dense_shard_flags());
+  EXPECT_EQ(loaded.candidates(text), hybrid.expect(text));
+}
+
+// When EVERY shard is dense (a single-byte-only set admits most common
+// bytes into its one shuffle mask), the sub-automaton covers every shard
+// and the SIMD pass scans nothing.
+TEST(TeddyPrefilter, AllDenseSetWalksSubAutomatonOverEveryShard) {
+  const Oracle dense = build_oracle(all_dense_set());
+  EXPECT_FALSE(dense.pf.teddy_active());
+  EXPECT_EQ(dense.pf.dense_shard_count(),
+            dense.pf.teddy_plans()->shard_count());
+
+  const std::string text = kitgen_corpus().front();
+  std::vector<std::size_t> out;
+  teddy::HitBuffer hits;
+  PrefilterStats stats;
+  dense.pf.candidates_into(text, out, hits, &stats);
+  EXPECT_EQ(stats.fallback, PrefilterFallback::kNone);
+  EXPECT_EQ(stats.dense_shards, dense.pf.dense_shard_count());
+  EXPECT_EQ(stats.shards_scanned, 0u);
+  EXPECT_EQ(stats.first_stage_hits, 0u);
+  EXPECT_EQ(out, dense.expect(text));
+  expect_routes_exact(dense);
+
+  std::stringstream bytes;
+  dense.pf.serialize(bytes);
+  const LiteralPrefilter loaded = LiteralPrefilter::load(bytes);
+  EXPECT_FALSE(loaded.teddy_active());
+  EXPECT_EQ(loaded.dense_shard_count(), dense.pf.dense_shard_count());
+  EXPECT_EQ(loaded.candidates(text), dense.expect(text));
+}
+
+// Dense multi-byte literals: every alphanumeric bigram makes the K=2
+// shard dense, so its literals stream through the sub-automaton, whose
+// DFA state must carry a literal split across two feeds.
+TEST(TeddyStreaming, DenseBigramsStraddleChunkBoundaries) {
+  constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz0123456789";
+  Registrations regs;
+  for (const char a : kAlpha) {
+    for (const char b : kAlpha) regs.emplace_back(regs.size(), std::string{a, b});
+  }
+  const Oracle o = build_oracle(regs);
+  ASSERT_GE(o.pf.dense_shard_count(), 1u);
+  ASSERT_FALSE(o.pf.teddy_active());
+  // Each bigram occurs only across a separator-free pair, so a split
+  // between its two bytes is the only way to see it.
+  expect_streaming_brute_force(o, "e.t.a.o.in.s.r.h.l.ea.te.ht");
+  expect_routes_exact(o);
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 //                                      (sigfile: one regex per line,
 //                                      optional "name<TAB>pattern", a
 //                                      signature DB, or a .kpf artifact —
-//                                      artifacts load the prebuilt
-//                                      automaton and stream each file;
+//                                      artifacts are verified, compiled
+//                                      and stream each file;
 //                                      --limits keys: input-bytes,
 //                                      vm-steps, wall-ms — each scan then
 //                                      reports its ScanOutcome when it
@@ -21,12 +21,15 @@
 //                                      (backtracking bombs, weak/dead/
 //                                      shadowed signatures, dense shards;
 //                                      .kpf artifacts are also verified by
-//                                      recompile-and-compare); exit 1 on
+//                                      recompiling the embedded signatures
+//                                      and comparing the prefilter blob
+//                                      byte for byte); exit 1 on
 //                                      error-severity findings
 //   kizzle pack <sigdb> <out.kpf>      compile a deployed signature DB to
-//                                      a binary bundle artifact (prebuilt
-//                                      literal-prefilter automaton; v2
-//                                      layout, mmap/zero-copy loadable)
+//                                      a binary bundle artifact (signatures
+//                                      plus the serialized literal
+//                                      prefilter; v2 layout, mmap
+//                                      loadable)
 //   kizzle pack --delta <base-sigdb> <full-sigdb> <out.kzd>
 //                                      diff two databases of one lineage
 //                                      into a KZDELTA incremental artifact
@@ -52,6 +55,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -249,14 +253,10 @@ const char* first_stage_name(match::PrefilterFallback fallback) {
   switch (fallback) {
     case match::PrefilterFallback::kNone:
       return "simd";
-    case match::PrefilterFallback::kForcedAutomaton:
-      return "automaton";
     case match::PrefilterFallback::kTextTooLarge:
-      return "automaton(large-text)";
+      return "simd(sliced)";
     case match::PrefilterFallback::kNoLiterals:
       return "no-literals";
-    case match::PrefilterFallback::kDenseLiterals:
-      return "automaton(dense-literals)";
   }
   return "?";
 }
@@ -273,9 +273,9 @@ void print_scan_stats(const engine::ScanStats& st) {
                st.confirmed_literal_dominated, st.confirmed_vm);
 }
 
-// Artifact path: load the release-built automaton into an engine database
-// (no per-process rebuild) and stream each file through an engine stream
-// in fixed-size chunks — the raw file is never fully resident. One scratch
+// Artifact path: verify the artifact, compile its signatures into an
+// engine database and stream each file through an engine stream in
+// fixed-size chunks — the raw file is never fully resident. One scratch
 // serves every file.
 int scan_with_artifact(const std::string& content,
                        const std::vector<std::string>& args,
@@ -558,8 +558,8 @@ int cmd_demo(const std::vector<std::string>& args) {
                  report.n_clusters, pipeline.signatures().size());
   }
   // The deployable artifact: a signature database on stdout, and — when a
-  // path is given — the binary bundle artifact with the release-built
-  // automaton for the deployment channels.
+  // path is given — the binary bundle artifact for the deployment
+  // channels.
   std::printf("%s", core::save_signatures(pipeline.signatures()).c_str());
   if (!artifact_path.empty()) {
     std::ofstream out(artifact_path, std::ios::binary);
@@ -639,9 +639,8 @@ int cmd_serve(const std::vector<std::string>& raw_args) {
   const serve::ServeFixture fixture = serve::make_fixture(fcfg);
   std::shared_ptr<const engine::Database> db = fixture.database;
   if (!artifact_path.empty()) {
-    // Map the artifact instead of streaming it: a v2 bundle serves its
-    // automaton tables straight out of the page cache (zero-copy), and a
-    // fleet of workers loading the same release shares the pages.
+    // Map the artifact instead of streaming it: the bundle is verified in
+    // place, straight out of the page cache, without a copy.
     auto mapped = std::make_shared<const support::MappedFile>(
         support::MappedFile::open(artifact_path));
     db = std::make_shared<const engine::Database>(
@@ -741,8 +740,8 @@ int cmd_lint(const std::vector<std::string>& raw_args) {
     return 2;
   }
   if (content.rfind(core::kArtifactMagic, 0) == 0) {
-    std::istringstream is(content);
-    report = analyze::analyze_artifact(is);
+    report = analyze::analyze_artifact(
+        std::as_bytes(std::span<const char>(content)));
   } else if (content.rfind("# kizzle-signatures", 0) == 0) {
     std::istringstream is(content);
     std::vector<engine::Database::Entry> entries;
